@@ -409,10 +409,10 @@ def _customer_keys(ds: Dataset) -> tuple[tuple[str, str, Sequence], ...]:
     return ("id", "str", ds.table.ids), ("category", "str", ds.table.category_values())
 
 
-def _price_state_table(ds: Dataset, demand, prices, state_index: int) -> Table:
+def _price_state_table(ds: Dataset, state_index: int) -> Table:
     state = ds.profile.state(state_index)
-    row = ds.profile.states.index(state)
-    d, p = demand[row], prices[row]
+    demand, prices, _ = price_grid(ds, states=[state_index])
+    d, p = demand[0], prices[0]
     share = np.empty_like(d)
     flat = np.empty_like(d)
     for cat, cols in category_columns(ds).items():
@@ -432,17 +432,16 @@ def _price_state_table(ds: Dataset, demand, prices, state_index: int) -> Table:
 
 def cmd_price(args) -> int:
     ds = _load_dataset(args)
-    demand, prices, off_peak = price_grid(ds)
     if args.state is not None:
-        tables = [_price_state_table(ds, demand, prices, args.state)]
+        tables = [_price_state_table(ds, args.state)]
     else:
-        peak = [(r, s.index) for r, s in enumerate(ds.profile.states) if s.is_peak]
-        rows = [r for r, _ in peak]
+        peak = ds.profile.peak_indices
+        demand, prices, off_peak = price_grid(ds, states=peak)
         on_peak = Table("on_peak", (
             *_customer_keys(ds),
-            ("state", "int", [index for _, index in peak]),
-            ("demand_kw", "num", demand[rows].ravel()),
-            ("unit_price_rs", "rs", prices[rows].ravel()),
+            ("state", "int", peak),
+            ("demand_kw", "num", demand.ravel()),
+            ("unit_price_rs", "rs", prices.ravel()),
         ), row_keys=2, block_keys=1)
         present = ds.categories_present
         off = Table("off_peak", (

@@ -47,7 +47,7 @@ from .domain import (
     category_columns,
     demand_grid,
 )
-from .pricing import PriceSchedule, _grid_prices, build_schedule, off_peak_price
+from .pricing import PriceSchedule, _price_rows, build_schedule, off_peak_price
 from .scenario import Scenario, event_multipliers
 
 __all__ = [
@@ -339,7 +339,9 @@ def standard_comparison(
     base = demand_grid(ds)
     demand = base if dr_event is None else base * event_multipliers(dr_event, ds)
     columns = category_columns(ds)
-    proposed, _ = _grid_prices(ds, demand, columns)
+    proposed, _ = _price_rows(
+        ds, columns, range(len(ds.profile.states)), lambda cols: lambda r: demand[r, cols]
+    )
     totals = base.sum(axis=1)
     signals = (
         _derive_flat(ds, totals),

@@ -341,20 +341,30 @@ def _repeated_ids(ids: Sequence[str]) -> list[int]:
     return out
 
 
+_PREFIX_POINTS = np.array([ord(_CATEGORY_PREFIX[cat]) for cat in _BY_CODE], dtype=np.uint32)
+
+
 def _prefix_mismatches(table: CustomerTable) -> dict[int, str]:
     """{column: letter} of the ids of ``_PREFIXED_ID`` form whose letter is
     not their category's prefix.
 
-    Only an id whose first character differs from its prefix can be one, so
-    the pattern runs on those ids alone.
+    Only an id whose first character differs from its prefix can be one.
+    Every id's first character is read at once, from one UTF-32 encoding of
+    all ids joined, so the pattern runs on those ids alone.
     """
-    letters = [cat.prefix for cat in _BY_CODE]
+    ids = table.ids
+    lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+    starts = np.cumsum(lengths) - lengths
+    # the trailing NUL keeps the start of an empty last id in range; an empty
+    # id reads the next id's first character or the NUL, and the pattern
+    # rejects it either way
+    joined = ("".join(ids) + "\0").encode("utf-32-le", "surrogatepass")
+    first = np.frombuffer(joined, dtype=np.uint32)[starts]
     out = {}
-    for j, (cid, k) in enumerate(zip(table.ids, table.codes.tolist())):
-        if cid[:1] != letters[k]:
-            m = _PREFIXED_ID.match(cid)
-            if m:
-                out[j] = m.group(1)
+    for j in np.flatnonzero(first != _PREFIX_POINTS[table.codes]).tolist():
+        m = _PREFIXED_ID.match(ids[j])
+        if m:
+            out[j] = m.group(1)
     return out
 
 

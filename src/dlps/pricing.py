@@ -16,23 +16,28 @@ price: the demand-weighted average market price over the off-peak window,
 marked up by the same profit factor, so the balance holds over the window
 as a whole rather than state by state.
 
-``price_grid`` prices from one demand grid, ``domain.demand_grid``: a
-(state x customer) matrix ``lf * base * M`` in profile and dataset order,
-where ``M`` is a demand-response event compiled once by
-``scenario.event_multipliers`` (all ones without an event), and returns a
-price matrix of the same layout. Each category is a set of grid columns:
-``on_peak_prices`` runs once per (category, peak state) row and
+``price_grid`` prices the (state x customer) rows a caller asks for, in
+profile and dataset order. It builds a category's demand at a state from
+the category's base demands, ``lf * base``, times the demand-response event
+``M`` (compiled once by ``scenario.event_multipliers``) when there is one,
+one state at a time, so a request for a few states holds no 24-state grid.
+``on_peak_prices`` runs once per (category, requested peak state) and
 ``off_peak_price`` once per category window, on the same values the
 per-customer formulas above would see, so prices are bitwise those of
-pricing each group from its customers one by one. ``build_schedule``
-keys the peak prices of that matrix by (customer id, state index).
+pricing each group from its customers one by one. ``build_schedule`` keys
+the peak rows by (customer id, state index).
+
+A group whose sum of squares could overflow, or lose bits to subnormal
+squares, is priced from its demands scaled by a power of two. The scaling
+is exact and the prices do not depend on it, so they keep every bit where
+the sums fit, and the peak balance holds at any demand magnitude.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +47,6 @@ from .domain import (
     Dataset,
     SystemState,
     category_columns,
-    demand_grid,
     select_states,
 )
 
@@ -99,15 +103,39 @@ def _check_price_inputs(mcp: float, profit_factor: float) -> None:
         raise ValueError(f"profit factor must be in [0, 1), got {profit_factor}")
 
 
-def _group_sums(demands, profit_factor: float, mcp: float) -> tuple[np.ndarray, float, float]:
-    """One pricing group's checked demand vector, its total and its sum of
-    squares; raises DegenerateGroupError when the sum of squares is zero."""
+# A group totalling at most _TOTAL_MAX has a sum of squares of at most
+# 2**500; a sum of squares of at least _SUM_SQ_MIN keeps every square normal
+# unless the demands span more than about 2**250 to one.
+_TOTAL_MAX = 2.0**250
+_SUM_SQ_MIN = 2.0**-500
+
+
+def _group_sums(
+    demands, profit_factor: float, mcp: float
+) -> tuple[np.ndarray, float, float, int]:
+    """One pricing group's checked demand vector, its total, its sum of
+    squares and the exponent ``shift`` they are scaled by: the three are
+    those of the group times ``2**-shift``.
+
+    ``shift`` is 0 unless the total exceeds ``_TOTAL_MAX`` or the sum of
+    squares falls below ``_SUM_SQ_MIN``; the group is then scaled to a
+    largest demand in [0.5, 1), exactly, so neither the squares nor their
+    sum overflow or lose bits. Raises DegenerateGroupError when every demand
+    is zero.
+    """
     _check_price_inputs(mcp, profit_factor)
     d = _as_demand_vector(demands)
-    sum_sq = float(np.dot(d, d))
-    if sum_sq == 0.0:
+    total = float(d.sum())
+    if total <= _TOTAL_MAX:
+        sum_sq = float(np.dot(d, d))
+        if sum_sq >= _SUM_SQ_MIN:
+            return d, total, sum_sq, 0
+    top = float(d.max())
+    if top == 0.0:
         raise DegenerateGroupError("every demand in the group is zero")
-    return d, float(d.sum()), sum_sq
+    shift = math.frexp(top)[1]
+    d = np.ldexp(d, -shift)
+    return d, float(d.sum()), float(np.dot(d, d)), shift
 
 
 def fixed_price(mcp: float, profit_factor: float) -> float:
@@ -123,7 +151,7 @@ def on_peak_prices(demands, profit_factor: float, mcp: float) -> np.ndarray:
     prices at zero. Raises DegenerateGroupError when the whole group has no
     demand, since no price can recover the (zero) purchase cost ratio.
     """
-    d, total, sum_sq = _group_sums(demands, profit_factor, mcp)
+    d, total, sum_sq, _ = _group_sums(demands, profit_factor, mcp)
     return (1.0 + profit_factor) * mcp * (total / sum_sq) * d
 
 
@@ -133,7 +161,7 @@ def proportionality_constant(demands, profit_factor: float, mcp: float) -> float
     Each on-peak price equals this constant times the customer's share of
     group demand: (1 + profit_factor) * mcp * total**2 / sum_sq.
     """
-    _, total, sum_sq = _group_sums(demands, profit_factor, mcp)
+    _, total, sum_sq, _ = _group_sums(demands, profit_factor, mcp)
     return (1.0 + profit_factor) * mcp * total * total / sum_sq
 
 
@@ -223,78 +251,124 @@ class FinancialSummary:
 
 
 def price_grid(
-    ds: Dataset, dr_event: Scenario | None = None
+    ds: Dataset, dr_event: Scenario | None = None, states: Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray, dict[Category, float]]:
-    """Demand and unit price of every customer at every state.
+    """Demand and unit price of every customer at the requested states.
 
-    Returns ``(demand, prices, off_peak)``: the demand grid
-    (``domain.demand_grid``), shaped by the demand-response event
-    ``dr_event`` when one is given, a price matrix of the same (state x
-    customer) layout, and each category's off-peak window price. The event
-    is compiled once into multipliers (``scenario.event_multipliers``), so
-    peak prices respond to it while states outside its scope keep base
-    demand. A peak row holds ``on_peak_prices`` of each category's columns;
-    an off-peak row holds the category's window price. Raises
-    DegenerateGroupError or DegenerateWindowError with the offending
-    category and state named when a group cannot be priced.
+    Returns ``(demand, prices, off_peak)``: a demand matrix and a price
+    matrix of (state x customer) layout, with one row per state index of
+    ``states`` in the order given (every state, in profile order, when
+    ``states`` is None), and each category's off-peak window price. Each
+    demand row is bitwise that row of ``domain.demand_grid``, shaped by the
+    demand-response event ``dr_event`` when one is given. The event is
+    compiled once into multipliers (``scenario.event_multipliers``), so peak
+    prices respond to it while states outside its scope keep base demand. A
+    peak row holds ``on_peak_prices`` of each category's columns; an
+    off-peak row holds the category's window price.
+
+    Rows are built one state at a time from each category's base demands,
+    and only the requested ones are kept: a peak state not asked for is
+    not priced, and an off-peak one is only summed into its window. Raises
+    KeyError for an index that is not a state of the profile, ValueError
+    for a repeated one, and DegenerateGroupError or DegenerateWindowError
+    with the offending category and state named when a group cannot be
+    priced.
     """
+    profile = ds.profile
+    if states is None:
+        rows: Sequence[int] = range(len(profile.states))
+    else:
+        rows = [profile.states.index(profile.state(index)) for index in states]
+        if len(set(rows)) < len(rows):
+            raise ValueError(f"states must not repeat, got {list(states)}")
     multipliers = None
     if dr_event is not None:
         from .scenario import event_multipliers  # deferred: scenario imports pricing
 
         multipliers = event_multipliers(dr_event, ds)
-    demand = demand_grid(ds, multipliers)
-    prices, off_peak = _grid_prices(ds, demand, category_columns(ds))
+    load_factors = [s.load_factor for s in profile.states]
+    base = ds.table.base
+
+    def category_rows(cols: np.ndarray) -> Callable[[int], np.ndarray]:
+        group = base[cols]
+        if multipliers is None:
+            return lambda r: load_factors[r] * group
+        return lambda r: load_factors[r] * group * multipliers[r, cols]
+
+    demand = np.empty((len(rows), len(base)))
+    prices, off_peak = _price_rows(ds, category_columns(ds), rows, category_rows, demand)
     return demand, prices, off_peak
 
 
-def _grid_prices(
-    ds: Dataset, demand: np.ndarray, columns: Mapping[Category, np.ndarray]
+def _price_rows(
+    ds: Dataset,
+    columns: Mapping[Category, np.ndarray],
+    rows: Sequence[int],
+    category_rows: Callable[[np.ndarray], Callable[[int], np.ndarray]],
+    demand: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[Category, float]]:
-    """``price_grid``'s prices for a demand grid already built, with the
-    grid columns of each category (``domain.category_columns``)."""
-    prices = np.empty_like(demand)
+    """The prices of ``price_grid`` at the profile rows ``rows``, and each
+    category's window price.
+
+    ``columns`` holds each category's grid columns
+    (``domain.category_columns``). ``category_rows(cols)`` returns a
+    function giving the demand vector of those columns at a profile row,
+    each a fresh contiguous array: the kernels' sums depend on the memory
+    layout. Each requested row's vector is also written into ``demand`` when
+    one is given.
+    """
     states = ds.profile.states
-    peak_rows = [r for r, s in enumerate(states) if s.is_peak]
-    off_rows = [r for r, s in enumerate(states) if not s.is_peak]
-    off_mcps = np.array([states[r].mcp for r in off_rows], dtype=float)
+    out = {r: k for k, r in enumerate(rows)}
+    off_rows = [out[r] for r, s in enumerate(states) if not s.is_peak and r in out]
+    prices = np.empty((len(rows), len(ds.table)))
+    off_mcps = np.array([s.mcp for s in states if not s.is_peak], dtype=float)
     off_peak: dict[Category, float] = {}
     for category, cols in columns.items():
         kp = ds.config_for(category).profit_factor
-        for r in peak_rows:
-            state = states[r]
+        demand_at = category_rows(cols)
+        totals = []
+        for r, state in enumerate(states):
+            k = out.get(r)
+            if state.is_peak and k is None:
+                continue
+            d = demand_at(r)
+            if k is not None and demand is not None:
+                demand[k, cols] = d
+            if not state.is_peak:
+                totals.append(d.sum())
+                continue
             try:
-                prices[r, cols] = on_peak_prices(demand[r, cols], kp, state.mcp)
+                prices[k, cols] = on_peak_prices(d, kp, state.mcp)
             except DegenerateGroupError as exc:
                 raise DegenerateGroupError(
                     f"category {category.value} at state {state.index}: {exc}"
                 ) from None
-        window = np.ix_(off_rows, cols)
         try:
-            off_peak[category] = off_peak_price(demand[window], off_mcps, kp)
+            off_peak[category] = off_peak_price(totals, off_mcps, kp)
         except DegenerateWindowError as exc:
             raise DegenerateWindowError(
                 f"category {category.value} off-peak window: {exc}"
             ) from None
-        prices[window] = off_peak[category]
+        for k in off_rows:
+            prices[k, cols] = off_peak[category]
     return prices, off_peak
 
 
 def build_schedule(ds: Dataset, dr_event: Scenario | None = None) -> PriceSchedule:
     """Price every (customer, peak state) pair and each category's off-peak window.
 
-    The prices are those of ``price_grid(ds, dr_event)``, keyed by
-    (customer id, state index) for the peak states. Raises
-    DegenerateGroupError or DegenerateWindowError with the offending
-    category and state named when a group cannot be priced.
+    The prices are the peak rows of ``price_grid(ds, dr_event)``, keyed by
+    (customer id, state index). Raises DegenerateGroupError or
+    DegenerateWindowError with the offending category and state named when
+    a group cannot be priced.
     """
-    _, prices, off_peak = price_grid(ds, dr_event)
-    peak = [(r, s.index) for r, s in enumerate(ds.profile.states) if s.is_peak]
+    peak = ds.profile.peak_indices
+    _, prices, off_peak = price_grid(ds, dr_event, peak)
     on_peak: dict[tuple[str, int], float] = {}
     for cols in category_columns(ds).values():
         ids = [ds.table.ids[j] for j in cols.tolist()]
-        for r, index in peak:
-            on_peak.update(zip([(cid, index) for cid in ids], prices[r, cols].tolist()))
+        for k, index in enumerate(peak):
+            on_peak.update(zip([(cid, index) for cid in ids], prices[k, cols].tolist()))
     factors = ", ".join(
         f"{cfg.category.value}={cfg.profit_factor}" for cfg in ds.categories
     )

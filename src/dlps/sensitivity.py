@@ -14,6 +14,7 @@ consequences are checked here numerically rather than assumed:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .pricing import _as_demand_vector, _group_sums, on_peak_prices, proportionality_constant
@@ -34,8 +35,8 @@ def price_demand_slope(demands, profit_factor: float, mcp: float) -> float:
     many-customer limit where one customer's demand barely moves the
     group aggregates.
     """
-    _, total, sum_sq = _group_sums(demands, profit_factor, mcp)
-    return (1.0 + profit_factor) * mcp * total / sum_sq
+    _, total, sum_sq, shift = _group_sums(demands, profit_factor, mcp)
+    return math.ldexp((1.0 + profit_factor) * mcp * total / sum_sq, -shift)
 
 
 def proportionality_identity_gap(demands, profit_factor: float, mcp: float) -> float:

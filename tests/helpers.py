@@ -40,7 +40,7 @@ from dlps import (
     select_states,
 )
 from dlps.cli import Table
-from dlps.domain import _BY_CODE, _CATEGORY_PREFIX, _PREFIXED_ID
+from dlps.domain import _BY_CODE, _PREFIXED_ID
 from dlps.ingest import CUSTOMERS_HEADER
 from dlps.scenario import CustomerDelta, ScenarioDeltas, _EventDraws
 
@@ -281,24 +281,16 @@ def generator_scenario_deltas(base: Dataset, perturbed: Dataset, state_index: in
     )
 
 
-_PREFIX_POINTS = np.array([ord(_CATEGORY_PREFIX[cat]) for cat in _BY_CODE], dtype=np.uint32)
-
-
-def utf32_prefix_mismatches(table: CustomerTable) -> dict[int, str]:
-    """The validation id-prefix check with every id's first character read
-    from one UTF-32 encoding of all ids joined, the pattern run only where
-    that character differs from the category's letter."""
-    ids = table.ids
-    lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
-    starts = np.cumsum(lengths) - lengths
-    # the trailing NUL keeps the start of an empty last id in range
-    joined = ("".join(ids) + "\0").encode("utf-32-le", "surrogatepass")
-    first = np.frombuffer(joined, dtype=np.uint32)[starts]
+def loop_prefix_mismatches(table: CustomerTable) -> dict[int, str]:
+    """The validation id-prefix check, id by id: the pattern runs where an
+    id's first character is not its category's letter."""
+    letters = [cat.prefix for cat in _BY_CODE]
     out = {}
-    for j in np.flatnonzero(first != _PREFIX_POINTS[table.codes]).tolist():
-        m = _PREFIXED_ID.match(ids[j])
-        if m:
-            out[j] = m.group(1)
+    for j, (cid, k) in enumerate(zip(table.ids, table.codes.tolist())):
+        if cid[:1] != letters[k]:
+            m = _PREFIXED_ID.match(cid)
+            if m:
+                out[j] = m.group(1)
     return out
 
 

@@ -16,11 +16,12 @@ from pathlib import Path
 import pytest
 
 from dlps import (
-    Category, CustomerTable, bundled_benchmark, cli, ingest, load_scenario, profile_to_csv,
+    Category, CustomerTable, bundled_benchmark, cli, fixed_price, ingest, load_scenario,
+    profile_to_csv,
 )
 from dlps.cli import main, run_validation
 
-from helpers import build_dataset, feeder_csv
+from helpers import build_dataset, feeder_csv, round2_reference
 
 GOOD_CUSTOMERS = "id,category,base_demand_kw\nI1,industrial,30\nI2,industrial,60\n"
 
@@ -164,13 +165,35 @@ class TestPrice:
         assert out == ""
         assert "non-finite" in err and "column" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("demand", ["1e200", "1e-320"])
+    def test_equal_pair_at_the_float_edges_pays_the_flat_price(
+        self, capsys, tmp_path, bench_ds, demand
+    ):
+        # the sum of squared demands overflows (1e200) or underflows to zero
+        # (1e-320); both customers must still pay (1 + p) * mcp
+        customers = tmp_path / "customers.csv"
+        customers.write_text(f"id,category,base_demand_kw\nI1,industrial,{demand}\nI2,industrial,{demand}\n")
+        mcp = tmp_path / "mcp.csv"
+        mcp.write_text(profile_to_csv(bench_ds.profile))
+        code, out, err = run(["price", "--customers", str(customers), "--mcp", str(mcp), "--all"], capsys)
+        assert (code, err) == (0, "")
+        kp = bench_ds.profit_factor(Category.INDUSTRIAL)
+        flat = {
+            str(s.index): round2_reference(fixed_price(s.mcp, kp)) for s in bench_ds.profile.peak_states
+        }
+        rows = sections(out)["on_peak"]
+        assert len(rows) == 12
+        assert all(row["unit_price_rs"] == flat[row["state"]] for row in rows)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "demand, mcp_scale, which, message",
         [
-            ("1e308", 1, "--all", "table on_peak, column unit_price_rs: non-finite value nan"),
+            # peak prices survive the overflow; the off-peak window's sums do not
+            ("1e308", 1, "--all", "table off_peak, column unit_price_rs: non-finite value nan"),
             ("1e308", 1, "--state", "table price_state22, column demand_contribution_pct: "
              "non-finite value nan"),
             ("30", 1e27, "--all", "table on_peak, column unit_price_rs: "

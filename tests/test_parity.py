@@ -45,7 +45,7 @@ from helpers import (
     loop_apply_scenario,
     loop_customer_violations,
     loop_parse_customers,
-    utf32_prefix_mismatches,
+    loop_prefix_mismatches,
 )
 
 pytest.importorskip("hypothesis")
@@ -485,4 +485,4 @@ class TestPrefixParity:
     @example([("𝐑1", Category.COMMERCIAL), ("C١", Category.RESIDENTIAL)])
     def test_same_mismatches(self, rows):
         table = CustomerTable.from_customers(Customer(cid, cat, 1.0) for cid, cat in rows)
-        assert _prefix_mismatches(table) == utf32_prefix_mismatches(table)
+        assert _prefix_mismatches(table) == loop_prefix_mismatches(table)

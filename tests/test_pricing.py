@@ -6,7 +6,9 @@ price with no margin: total 60, squared sum 1400, so prices are
 demand * 60/1400 and the proportionality constant is 3600/1400.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +29,9 @@ from dlps import (
     random_dr_event,
     verify_ebe,
 )
+from dlps.ingest import _customer_table
 
-from helpers import build_dataset, build_profile, loop_peak_prices
+from helpers import build_dataset, build_profile, feeder_csv, loop_peak_prices
 
 MCP_REF = 4.845626  # benchmark market price at the reference state
 REL = 1e-9
@@ -317,6 +320,26 @@ class TestPriceGrid:
     def test_demand_is_the_demand_grid(self, bench_ds):
         demand, _, _ = price_grid(bench_ds)
         assert np.array_equal(demand, demand_grid(bench_ds))
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already tracing")
+    def test_peak_rows_hold_no_whole_grid(self, bench_ds):
+        # at 20,000 customers one (24 x N) float64 grid is 3.7 MiB; the six
+        # peak rows of demand and of prices are 1.8 MiB together
+        ds = dataclasses.replace(bench_ds, table=_customer_table(feeder_csv(20_000, seed=1)))
+        tracemalloc.start()
+        try:
+            demand, prices, _ = price_grid(ds, states=ds.profile.peak_indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert demand.shape == prices.shape == (6, 20_000)
+        assert peak < 3 * 2**20
+
+    def test_states_name_states_of_the_profile_once(self, bench_ds):
+        with pytest.raises(KeyError, match="no state with index 25"):
+            price_grid(bench_ds, states=[22, 25])
+        with pytest.raises(ValueError, match="must not repeat"):
+            price_grid(bench_ds, states=[22, 3, 22])
 
     def test_degenerate_window_reported_with_context(self):
         profile = build_profile(load_factors=[0.0] * 17 + [1.0] * 7, peak=range(18, 25))

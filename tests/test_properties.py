@@ -6,7 +6,8 @@ window as a whole. Re-billed from ``build_schedule`` through the
 ``verify_ebe`` loop, each category's profit fraction equals its profit
 factor at every peak state, over the off-peak window and over the day.
 Peak prices do not depend on the load factor, and the off-peak price does
-not depend on the customers. Sums taken in another order than the pricing
+not depend on the customers, nor peak prices on a power-of-two scale of
+the group. Rows priced on request are bitwise the rows of the whole grid. Sums taken in another order than the pricing
 code's may differ in the last digits, so the checks hold to a relative
 1e-12 (``pytest.approx``, which keeps an absolute floor of 1e-12 for a
 margin at or near 0).
@@ -18,13 +19,24 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dlps import Category, build_schedule, price_grid, random_dr_event, verify_ebe
+from dlps import (
+    Category,
+    CustomerTable,
+    Scenario,
+    build_schedule,
+    demand_grid,
+    event_multipliers,
+    on_peak_prices,
+    price_grid,
+    random_dr_event,
+    verify_ebe,
+)
 from dlps.domain import category_columns
 
-from helpers import build_dataset, build_profile
+from helpers import build_dataset, build_profile, loop_peak_prices
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 # verify_ebe bills customer by customer, one schedule lookup per (customer, state)
@@ -134,3 +146,91 @@ class TestClosedForms:
             for cat, price in off_peak.items():
                 expected = (1.0 + ds.profit_factor(cat)) * mean_mcp
                 assert price == pytest.approx(expected, rel=REL)
+
+    @PROPERTY
+    @given(
+        st.lists(DEMANDS, min_size=1, max_size=40),
+        st.integers(-600, 600),
+        MARGINS,
+        st.floats(0.01, 100.0),
+    )
+    # squares just below the normal range whose sum is just inside it
+    @example([1.00640888266431, 1.7726492012253887], -512, 0.01, 4.0)
+    def test_peak_prices_keep_every_bit_under_a_power_of_two_scale(self, d, j, kp, mcp):
+        d = np.array(d)
+        scaled = np.ldexp(d, j)
+        assert np.array_equal(np.ldexp(scaled, -j), d)  # the scale itself is exact
+        assert on_peak_prices(scaled, kp, mcp).tobytes() == on_peak_prices(d, kp, mcp).tobytes()
+
+
+ODD_SIZES = st.sampled_from([1, 3, 5, 7, 11, 19])
+
+
+@st.composite
+def odd_shuffled_datasets(draw):
+    """One to three categories of odd sizes, the table's rows shuffled."""
+    groups = draw(
+        st.fixed_dictionaries(
+            {cat.value: st.one_of(st.just(0), ODD_SIZES) for cat in Category}
+        ).filter(lambda g: any(g.values()))
+    )
+    ds = build_dataset(
+        **{name: draw(st.lists(DEMANDS, min_size=n, max_size=n)) for name, n in groups.items()},
+        profile=draw(profiles()),
+        profit={cat: draw(MARGINS) for cat in Category},
+    )
+    order = draw(st.permutations(range(len(ds.table))))
+    customers = ds.customers
+    return dataclasses.replace(
+        ds, table=CustomerTable.from_customers(customers[j] for j in order)
+    )
+
+
+@st.composite
+def any_events(draw, ds):
+    """No event, a random one over the peak, or explicit per-state fractions
+    for some customers, over the peak or the whole day."""
+    kind = draw(st.sampled_from(["none", "random", "explicit"]))
+    if kind == "none":
+        return None
+    if kind == "random":
+        return draw(events(ds).filter(lambda ev: ev is not None))
+    ids = draw(st.lists(st.sampled_from(ds.table.ids), min_size=1, unique=True))
+    fractions = st.dictionaries(STATES, st.floats(-0.9, 0.9), min_size=1)
+    return Scenario(
+        label="explicit",
+        perturbations={cid: draw(fractions) for cid in ids},
+        scope=draw(st.sampled_from(["peak", "day"])),
+    )
+
+
+class TestRowsOnRequest:
+    @PROPERTY
+    @given(st.data())
+    def test_requested_rows_are_the_grid_rows_bitwise(self, data):
+        ds = data.draw(odd_shuffled_datasets())
+        ev = data.draw(any_events(ds))
+        off_peak_states = [s.index for s in ds.profile.states if not s.is_peak]
+        states = data.draw(
+            st.one_of(
+                st.lists(STATES, min_size=1, max_size=24, unique=True),
+                st.sampled_from(off_peak_states).map(lambda index: [index]),
+            )
+        )
+        demand, prices, off_peak = price_grid(ds, ev)
+        multipliers = None if ev is None else event_multipliers(ev, ds)
+        assert demand.tobytes() == demand_grid(ds, multipliers).tobytes()
+        rows = [[s.index for s in ds.profile.states].index(index) for index in states]
+        some_demand, some_prices, some_off_peak = price_grid(ds, ev, states)
+        assert some_demand.tobytes() == demand[rows].tobytes()
+        assert some_prices.tobytes() == prices[rows].tobytes()
+        assert list(some_off_peak.items()) == list(off_peak.items())
+
+    @LOOP
+    @given(st.data())
+    def test_schedule_is_the_per_group_loop(self, data):
+        ds = data.draw(odd_shuffled_datasets())
+        ev = data.draw(any_events(ds))
+        schedule = build_schedule(ds, ev)
+        assert list(schedule.on_peak.items()) == list(loop_peak_prices(ds, ev).items())
+        assert list(schedule.off_peak.items()) == list(price_grid(ds, ev)[2].items())
