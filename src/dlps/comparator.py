@@ -26,10 +26,10 @@ per-state kinds), and a category's billing at each state is the sum of
 ``P * D`` over its customers' columns, marked up when asked. The flat and
 TOU prices read their per-state demand totals from the event-free grid.
 
-``standard_comparison`` compiles the event once, builds each grid and the
-category columns once, takes the proposed prices from ``pricing.price_grid``'s
-``P`` and bills all four signals from them; ``bill_under_signal`` and the
-``derive_*`` functions give the same numbers, bit for bit, one at a time.
+``standard_comparison`` takes ``D`` and the proposed prices ``P`` from one
+``pricing.price_grid`` call and bills all four signals from them;
+``bill_under_signal`` and the ``derive_*`` functions give the same numbers,
+bit for bit, one at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .domain import (
     category_columns,
     demand_grid,
 )
-from .pricing import PriceSchedule, _price_rows, build_schedule, off_peak_price
+from .pricing import PriceSchedule, build_schedule, off_peak_price, price_grid
 from .scenario import Scenario, event_multipliers
 
 __all__ = [
@@ -334,15 +334,13 @@ def standard_comparison(
     from the demands actually in effect, since it responds to them. The
     result equals ``compare_signals`` over ``derive_flat``, ``rtp_signal``,
     ``derive_tou`` and ``proposed_signal(event_schedule(ds, dr_event))``,
-    bit for bit, with the event compiled and each grid built only once.
+    bit for bit. ``D`` and the proposed prices come from one
+    ``price_grid(ds, dr_event)`` call, which raises KeyError for a category
+    with no configuration.
     """
-    base = demand_grid(ds)
-    demand = base if dr_event is None else base * event_multipliers(dr_event, ds)
+    demand, proposed, _ = price_grid(ds, dr_event)
     columns = category_columns(ds)
-    proposed, _ = _price_rows(
-        ds, columns, range(len(ds.profile.states)), lambda cols: lambda r: demand[r, cols]
-    )
-    totals = base.sum(axis=1)
+    totals = demand_grid(ds).sum(axis=1)
     signals = (
         _derive_flat(ds, totals),
         rtp_signal(ds.profile),

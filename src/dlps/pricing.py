@@ -17,27 +17,27 @@ marked up by the same profit factor, so the balance holds over the window
 as a whole rather than state by state.
 
 ``price_grid`` prices the (state x customer) rows a caller asks for, in
-profile and dataset order. It builds a category's demand at a state from
-the category's base demands, ``lf * base``, times the demand-response event
-``M`` (compiled once by ``scenario.event_multipliers``) when there is one,
-one state at a time, so a request for a few states holds no 24-state grid.
-``on_peak_prices`` runs once per (category, requested peak state) and
-``off_peak_price`` once per category window, on the same values the
-per-customer formulas above would see, so prices are bitwise those of
-pricing each group from its customers one by one. ``build_schedule`` keys
-the peak rows by (customer id, state index).
+profile and dataset order. It builds them in one step, ``lf * base`` times
+the demand-response event ``M`` (``scenario.event_multipliers``) when there
+is one; an off-peak row not asked for is built per category only to be
+summed into the window. ``on_peak_prices`` runs once per (category,
+requested peak state) and ``off_peak_price`` once per category window, on
+the values the per-customer formulas above would see, so prices are
+bitwise those of pricing each group from its customers one by one.
+``build_schedule`` keys the peak rows by (customer id, state index).
 
 A group whose sum of squares could overflow, or lose bits to subnormal
-squares, is priced from its demands scaled by a power of two. The scaling
-is exact and the prices do not depend on it, so they keep every bit where
-the sums fit, and the peak balance holds at any demand magnitude.
+squares, is priced from its demands scaled by a power of two, and so is a
+window whose totals could overflow or go subnormal; the largest value sets
+the scale before any sum is taken. The scaling is exact, so prices keep
+every bit where the sums fit, and the balance holds at any magnitude.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -117,20 +117,21 @@ def _group_sums(
     squares and the exponent ``shift`` they are scaled by: the three are
     those of the group times ``2**-shift``.
 
-    ``shift`` is 0 unless the total exceeds ``_TOTAL_MAX`` or the sum of
-    squares falls below ``_SUM_SQ_MIN``; the group is then scaled to a
-    largest demand in [0.5, 1), exactly, so neither the squares nor their
-    sum overflow or lose bits. Raises DegenerateGroupError when every demand
-    is zero.
+    ``shift`` is 0 unless the largest demand or the total exceeds
+    ``_TOTAL_MAX`` or the sum of squares falls below ``_SUM_SQ_MIN``; the
+    group is then scaled to a largest demand in [0.5, 1), exactly, so
+    neither the squares nor their sums overflow or lose bits. Raises
+    DegenerateGroupError when every demand is zero.
     """
     _check_price_inputs(mcp, profit_factor)
     d = _as_demand_vector(demands)
-    total = float(d.sum())
-    if total <= _TOTAL_MAX:
-        sum_sq = float(np.dot(d, d))
-        if sum_sq >= _SUM_SQ_MIN:
-            return d, total, sum_sq, 0
     top = float(d.max())
+    if top <= _TOTAL_MAX:  # so the total cannot overflow
+        total = float(d.sum())
+        if total <= _TOTAL_MAX:
+            sum_sq = float(np.dot(d, d))
+            if sum_sq >= _SUM_SQ_MIN:
+                return d, total, sum_sq, 0
     if top == 0.0:
         raise DegenerateGroupError("every demand in the group is zero")
     shift = math.frexp(top)[1]
@@ -172,7 +173,8 @@ def off_peak_price(demands, mcps, profit_factor: float) -> float:
     vector of per-state total demands; ``mcps`` holds the matching per-state
     market prices. The result is the demand-weighted average market price
     marked up by the profit factor, so the group's billing over the window
-    equals purchase cost plus margin.
+    equals purchase cost plus margin. Demands whose sums could overflow or
+    go subnormal are scaled first, by the rule of ``_group_sums``.
     """
     if not 0.0 <= profit_factor < 1.0:
         raise ValueError(f"profit factor must be in [0, 1), got {profit_factor}")
@@ -183,23 +185,25 @@ def off_peak_price(demands, mcps, profit_factor: float) -> float:
     if np.any(m <= 0):
         raise ValueError("mcps must be > 0")
     _check_finite(m, "mcps")
-    if d.ndim == 2:
-        totals = d.sum(axis=1)
-    elif d.ndim == 1:
-        totals = d
-    else:
+    if d.ndim == 1:
+        d = d[:, None]  # one total per state
+    elif d.ndim != 2:
         raise ValueError(f"expected 1-D or 2-D demands, got shape {d.shape}")
-    if totals.shape != m.shape:
-        raise ValueError(
-            f"demands cover {totals.shape[0]} states but {m.size} mcps given"
-        )
-    if np.any(totals < 0):
+    if d.shape[0] != m.size:
+        raise ValueError(f"demands cover {d.shape[0]} states but {m.size} mcps given")
+    if np.any(d < 0):
         raise ValueError("demands must be >= 0")
     _check_finite(d, "demands")
-    energy = float(totals.sum())
-    if energy <= 0.0:
+    top = float(d.max(initial=0.0))
+    if top <= _TOTAL_MAX:  # so no sum below can overflow
+        totals = d.sum(axis=1)
+        energy = float(totals.sum())
+        if _SUM_SQ_MIN <= energy <= _TOTAL_MAX:
+            return (1.0 + profit_factor) * float(np.dot(totals, m)) / energy
+    if top == 0.0:
         raise DegenerateWindowError("window carries no energy")
-    return (1.0 + profit_factor) * float(np.dot(totals, m)) / energy
+    totals = np.ldexp(d, -math.frexp(top)[1]).sum(axis=1)
+    return (1.0 + profit_factor) * float(np.dot(totals, m)) / float(totals.sum())
 
 
 @dataclass(frozen=True)
@@ -258,21 +262,21 @@ def price_grid(
     Returns ``(demand, prices, off_peak)``: a demand matrix and a price
     matrix of (state x customer) layout, with one row per state index of
     ``states`` in the order given (every state, in profile order, when
-    ``states`` is None), and each category's off-peak window price. Each
-    demand row is bitwise that row of ``domain.demand_grid``, shaped by the
-    demand-response event ``dr_event`` when one is given. The event is
-    compiled once into multipliers (``scenario.event_multipliers``), so peak
-    prices respond to it while states outside its scope keep base demand. A
+    ``states`` is None), and each category's off-peak window price, in the
+    order of ``ds.table.columns`` (config order for the datasets
+    ``assemble_dataset`` builds). Each demand row is bitwise that row of
+    ``domain.demand_grid``, shaped by the demand-response event ``dr_event``
+    (compiled once by ``scenario.event_multipliers``) when one is given. A
     peak row holds ``on_peak_prices`` of each category's columns; an
     off-peak row holds the category's window price.
 
-    Rows are built one state at a time from each category's base demands,
-    and only the requested ones are kept: a peak state not asked for is
-    not priced, and an off-peak one is only summed into its window. Raises
-    KeyError for an index that is not a state of the profile, ValueError
-    for a repeated one, and DegenerateGroupError or DegenerateWindowError
-    with the offending category and state named when a group cannot be
-    priced.
+    The requested rows are built in one step and each group is priced from
+    a contiguous copy of its columns. A peak state not asked for is not
+    priced, and an off-peak one is built per category only to be summed
+    into its window. Raises KeyError for an index that is not a state of
+    the profile or a category with no configuration, ValueError for a
+    repeated index, and DegenerateGroupError or DegenerateWindowError with
+    the offending category and state named when a group cannot be priced.
     """
     profile = ds.profile
     if states is None:
@@ -286,54 +290,29 @@ def price_grid(
         from .scenario import event_multipliers  # deferred: scenario imports pricing
 
         multipliers = event_multipliers(dr_event, ds)
-    load_factors = [s.load_factor for s in profile.states]
+    lf = np.array([s.load_factor for s in profile.states], dtype=float)
     base = ds.table.base
-
-    def category_rows(cols: np.ndarray) -> Callable[[int], np.ndarray]:
-        group = base[cols]
-        if multipliers is None:
-            return lambda r: load_factors[r] * group
-        return lambda r: load_factors[r] * group * multipliers[r, cols]
-
-    demand = np.empty((len(rows), len(base)))
-    prices, off_peak = _price_rows(ds, category_columns(ds), rows, category_rows, demand)
-    return demand, prices, off_peak
-
-
-def _price_rows(
-    ds: Dataset,
-    columns: Mapping[Category, np.ndarray],
-    rows: Sequence[int],
-    category_rows: Callable[[np.ndarray], Callable[[int], np.ndarray]],
-    demand: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict[Category, float]]:
-    """The prices of ``price_grid`` at the profile rows ``rows``, and each
-    category's window price.
-
-    ``columns`` holds each category's grid columns
-    (``domain.category_columns``). ``category_rows(cols)`` returns a
-    function giving the demand vector of those columns at a profile row,
-    each a fresh contiguous array: the kernels' sums depend on the memory
-    layout. Each requested row's vector is also written into ``demand`` when
-    one is given.
-    """
-    states = ds.profile.states
+    demand = lf[rows, None] * base
     out = {r: k for k, r in enumerate(rows)}
-    off_rows = [out[r] for r, s in enumerate(states) if not s.is_peak and r in out]
-    prices = np.empty((len(rows), len(ds.table)))
-    off_mcps = np.array([s.mcp for s in states if not s.is_peak], dtype=float)
+    if multipliers is not None:
+        for r, k in out.items():
+            demand[k] *= multipliers[r]
+    prices = np.empty_like(demand)
+    off_rows = [k for r, k in out.items() if not profile.states[r].is_peak]
+    off_mcps = np.array([s.mcp for s in profile.off_peak_states], dtype=float)
     off_peak: dict[Category, float] = {}
-    for category, cols in columns.items():
+    for category, cols in ds.table.columns.items():
         kp = ds.config_for(category).profit_factor
-        demand_at = category_rows(cols)
+        group = base[cols]
         totals = []
-        for r, state in enumerate(states):
+        for r, state in enumerate(profile.states):
             k = out.get(r)
-            if state.is_peak and k is None:
+            if k is not None:
+                d = demand[k, cols]
+            elif state.is_peak:
                 continue
-            d = demand_at(r)
-            if k is not None and demand is not None:
-                demand[k, cols] = d
+            else:
+                d = lf[r] * group if multipliers is None else lf[r] * group * multipliers[r, cols]
             if not state.is_peak:
                 totals.append(d.sum())
                 continue
@@ -349,9 +328,8 @@ def _price_rows(
             raise DegenerateWindowError(
                 f"category {category.value} off-peak window: {exc}"
             ) from None
-        for k in off_rows:
-            prices[k, cols] = off_peak[category]
-    return prices, off_peak
+        prices[np.ix_(off_rows, cols)] = off_peak[category]
+    return demand, prices, off_peak
 
 
 def build_schedule(ds: Dataset, dr_event: Scenario | None = None) -> PriceSchedule:

@@ -17,7 +17,7 @@ import pytest
 
 from dlps import (
     Category, CustomerTable, bundled_benchmark, cli, fixed_price, ingest, load_scenario,
-    profile_to_csv,
+    off_peak_price, profile_to_csv,
 )
 from dlps.cli import main, run_validation
 
@@ -150,28 +150,29 @@ class TestPrice:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("which", ["--all", "--state"])
-    def test_non_finite_price_exits_1_without_output(self, capsys, tmp_path, bench_ds, which):
+    def test_non_finite_price_exits_1_without_output(self, capsys, tmp_path, bench_ds):
         # finite demands near the float limit pass ingest and validation, but
-        # their squares overflow in pricing; the table writer must refuse the
-        # non-finite prices rather than print them
+        # the state table's demand shares overflow; the table writer must
+        # refuse the non-finite cells rather than print them
         customers = tmp_path / "customers.csv"
         customers.write_text("id,category,base_demand_kw\nI1,industrial,1e308\nI2,industrial,1e308\n")
         mcp = tmp_path / "mcp.csv"
         mcp.write_text(profile_to_csv(bench_ds.profile))
-        argv = ["price", "--customers", str(customers), "--mcp", str(mcp), which]
-        code, out, err = run(argv + (["22"] if which == "--state" else []), capsys)
+        argv = ["price", "--customers", str(customers), "--mcp", str(mcp), "--state", "22"]
+        code, out, err = run(argv, capsys)
         assert code == 1
         assert out == ""
         assert "non-finite" in err and "column" in err
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("demand", ["1e200", "1e-320"])
+    @pytest.mark.parametrize("demand", ["1e200", "1e308", "1e-320"])
     def test_equal_pair_at_the_float_edges_pays_the_flat_price(
         self, capsys, tmp_path, bench_ds, demand
     ):
-        # the sum of squared demands overflows (1e200) or underflows to zero
-        # (1e-320); both customers must still pay (1 + p) * mcp
+        # the sum of squared demands overflows (1e200, 1e308) or underflows to
+        # zero (1e-320), and the off-peak window's energy overflows (1e308);
+        # both customers must still pay (1 + p) * mcp at each peak state and
+        # the load-weighted off-peak price
         customers = tmp_path / "customers.csv"
         customers.write_text(f"id,category,base_demand_kw\nI1,industrial,{demand}\nI2,industrial,{demand}\n")
         mcp = tmp_path / "mcp.csv"
@@ -185,6 +186,11 @@ class TestPrice:
         rows = sections(out)["on_peak"]
         assert len(rows) == 12
         assert all(row["unit_price_rs"] == flat[row["state"]] for row in rows)
+        window = bench_ds.profile.off_peak_states
+        off_peak = off_peak_price([s.load_factor for s in window], [s.mcp for s in window], kp)
+        assert sections(out)["off_peak"] == [
+            {"category": "industrial", "unit_price_rs": round2_reference(off_peak)}
+        ]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -192,8 +198,6 @@ class TestPrice:
     @pytest.mark.parametrize(
         "demand, mcp_scale, which, message",
         [
-            # peak prices survive the overflow; the off-peak window's sums do not
-            ("1e308", 1, "--all", "table off_peak, column unit_price_rs: non-finite value nan"),
             ("1e308", 1, "--state", "table price_state22, column demand_contribution_pct: "
              "non-finite value nan"),
             ("30", 1e27, "--all", "table on_peak, column unit_price_rs: "

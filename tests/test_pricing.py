@@ -27,6 +27,7 @@ from dlps import (
     price_demand_slope,
     proportionality_constant,
     random_dr_event,
+    standard_comparison,
     verify_ebe,
 )
 from dlps.ingest import _customer_table
@@ -346,6 +347,15 @@ class TestPriceGrid:
         ds = build_dataset(industrial=[10.0, 20.0], profile=profile)
         with pytest.raises(DegenerateWindowError, match="industrial off-peak window"):
             price_grid(ds)
+
+    @pytest.mark.parametrize("price", [price_grid, build_schedule, standard_comparison])
+    def test_a_category_with_no_configuration_is_named(self, bench_ds, price):
+        configured = tuple(
+            cfg for cfg in bench_ds.categories if cfg.category is not Category.RESIDENTIAL
+        )
+        ds = dataclasses.replace(bench_ds, categories=configured)
+        with pytest.raises(KeyError, match="no configuration for category residential"):
+            price(ds)
 
 
 class TestVerifyEbe:

@@ -7,10 +7,14 @@ window as a whole. Re-billed from ``build_schedule`` through the
 factor at every peak state, over the off-peak window and over the day.
 Peak prices do not depend on the load factor, and the off-peak price does
 not depend on the customers, nor peak prices on a power-of-two scale of
-the group. Rows priced on request are bitwise the rows of the whole grid. Sums taken in another order than the pricing
-code's may differ in the last digits, so the checks hold to a relative
-1e-12 (``pytest.approx``, which keeps an absolute floor of 1e-12 for a
-margin at or near 0).
+the group, nor the off-peak price on a power-of-two scale of the window.
+Rows priced on request are bitwise the rows of the whole grid. Permuting
+the customers permutes the price grid and leaves the billing unchanged;
+within a group at a peak state the price never falls as demand rises, and
+a customer above the contraharmonic mean pays more than the flat price.
+Sums taken in another order than the pricing code's may differ in the last
+digits, so the checks hold to a relative 1e-12 (``pytest.approx``, which
+keeps an absolute floor of 1e-12 for a margin at or near 0).
 
 Hypothesis runs derandomized, so every run tries the same examples."""
 
@@ -26,9 +30,12 @@ from dlps import (
     build_schedule,
     demand_grid,
     event_multipliers,
+    fixed_price,
+    off_peak_price,
     on_peak_prices,
     price_grid,
     random_dr_event,
+    standard_comparison,
     verify_ebe,
 )
 from dlps.domain import category_columns
@@ -39,7 +46,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
-# verify_ebe bills customer by customer, one schedule lookup per (customer, state)
+# fewer examples where each costs more: verify_ebe bills customer by customer,
+# one schedule lookup per (customer, state), and the order properties price
+# the day twice
 LOOP = settings(derandomize=True, max_examples=100, deadline=None)
 REL = 1e-12
 
@@ -162,6 +171,27 @@ class TestClosedForms:
         assert np.array_equal(np.ldexp(scaled, -j), d)  # the scale itself is exact
         assert on_peak_prices(scaled, kp, mcp).tobytes() == on_peak_prices(d, kp, mcp).tobytes()
 
+    @PROPERTY
+    @given(
+        st.integers(1, 24).flatmap(
+            lambda n: st.tuples(
+                st.lists(DEMANDS, min_size=n, max_size=n),
+                st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(-1000, 1000),
+        MARGINS,
+    )
+    # a window of two 1e308 totals, whose energy overflows
+    @example(([np.ldexp(1e308, -1000)] * 2, [3.0, 4.0]), 1000, 0.01)
+    # two 1e-320 totals (2024 * 2**-1074), whose marked-up sum is subnormal
+    @example(([2024.0, 2024.0], [3.0, 4.0]), -1074, 0.01)
+    def test_off_peak_price_keeps_every_bit_under_a_power_of_two_scale(self, window, j, kp):
+        totals, mcps = np.array(window[0]), window[1]
+        scaled = np.ldexp(totals, j)
+        assert np.array_equal(np.ldexp(scaled, -j), totals)  # the scale itself is exact
+        assert off_peak_price(scaled, mcps, kp) == off_peak_price(totals, mcps, kp)
+
 
 ODD_SIZES = st.sampled_from([1, 3, 5, 7, 11, 19])
 
@@ -234,3 +264,55 @@ class TestRowsOnRequest:
         schedule = build_schedule(ds, ev)
         assert list(schedule.on_peak.items()) == list(loop_peak_prices(ds, ev).items())
         assert list(schedule.off_peak.items()) == list(price_grid(ds, ev)[2].items())
+
+
+def reordered(ds, order):
+    """The dataset with its customers in the given order."""
+    customers = ds.customers
+    return dataclasses.replace(ds, table=CustomerTable.from_customers(customers[j] for j in order))
+
+
+class TestCustomerOrder:
+    @LOOP
+    @given(st.data())
+    def test_permuting_customers_permutes_the_price_grid(self, data):
+        ds = data.draw(datasets())
+        ev = data.draw(events(ds))  # perturbs customers by id, whatever their order
+        order = data.draw(st.permutations(range(len(ds.table))))
+        demand, prices, off_peak = price_grid(ds, ev)
+        moved_demand, moved_prices, moved_off_peak = price_grid(reordered(ds, order), ev)
+        np.testing.assert_allclose(moved_demand, demand[:, order], rtol=REL, atol=0)
+        np.testing.assert_allclose(moved_prices, prices[:, order], rtol=REL, atol=0)
+        assert moved_off_peak == pytest.approx(off_peak, rel=REL)
+
+    @LOOP
+    @given(st.data())
+    def test_billing_does_not_depend_on_customer_order(self, data):
+        ds = data.draw(datasets())
+        ev = data.draw(events(ds))
+        order = data.draw(st.permutations(range(len(ds.table))))
+        with_profit = data.draw(st.booleans())
+        # market prices span at most 1e4 to one, so this TOU peak block never
+        # prices below the off-peak block
+        fused = standard_comparison(ds, 1e4, with_profit, ev)
+        moved = standard_comparison(reordered(ds, order), 1e4, with_profit, ev)
+        assert moved.kinds == fused.kinds
+        for a, b in zip(fused.billings, moved.billings):
+            assert dict(b.by_category_state) == pytest.approx(dict(a.by_category_state), rel=REL)
+
+
+class TestPeakPriceOrder:
+    @PROPERTY
+    @given(st.data())
+    def test_price_follows_demand_within_a_group(self, data):
+        ds = data.draw(datasets())
+        demand, prices, _ = price_grid(ds, data.draw(events(ds)))
+        for cat, cols in category_columns(ds).items():
+            for r, state in enumerate(ds.profile.states):
+                if not state.is_peak:
+                    continue
+                d, p = demand[r, cols], prices[r, cols]
+                by_demand = np.argsort(d, kind="stable")
+                assert np.all(np.diff(p[by_demand]) >= 0)  # a larger demand never pays less
+                heavy = d > (1 + 1e-9) * float(d @ d) / float(d.sum())
+                assert np.all(p[heavy] > fixed_price(state.mcp, ds.profit_factor(cat)))
