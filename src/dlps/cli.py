@@ -64,14 +64,7 @@ import numpy as np
 
 from ._csvtext import PAD, cent_units, lines, num_units, quoted, text_units
 from .comparator import SignalKind, compare_to_reference, standard_comparison
-from .domain import (
-    Category,
-    Dataset,
-    category_columns,
-    category_demands,
-    select_states,
-    validate_dataset,
-)
+from .domain import Category, Dataset, category_demands, select_states, validate_dataset
 from .ingest import (
     ParseError,
     _bundled_violations,
@@ -415,7 +408,7 @@ def _price_state_table(ds: Dataset, state_index: int) -> Table:
     d, p = demand[0], prices[0]
     share = np.empty_like(d)
     flat = np.empty_like(d)
-    for cat, cols in category_columns(ds).items():
+    for cat, cols in ds.table.columns.items():
         share[cols] = 100.0 * d[cols] / float(d[cols].sum())
         flat[cols] = fixed_price(state.mcp, ds.profit_factor(cat))
     columns = (
@@ -443,10 +436,9 @@ def cmd_price(args) -> int:
             ("demand_kw", "num", demand.ravel()),
             ("unit_price_rs", "rs", prices.ravel()),
         ), row_keys=2, block_keys=1)
-        present = ds.categories_present
         off = Table("off_peak", (
-            ("category", "str", [cat.value for cat in present]),
-            ("unit_price_rs", "rs", [off_peak[cat] for cat in present]),
+            ("category", "str", [cat.value for cat in off_peak]),
+            ("unit_price_rs", "rs", list(off_peak.values())),
         ))
         tables = [on_peak, off]
     _emit(tables, args.out, args.format)
@@ -544,7 +536,7 @@ def cmd_compare(args) -> int:
     cells = [
         (billing, cat, state.index)
         for billing in comparison.billings
-        for cat in ds.categories_present
+        for cat in ds.table.columns
         for state in ds.profile.states
     ]
     comparison_table = Table("comparison", (
@@ -563,7 +555,7 @@ def cmd_compare(args) -> int:
     groups = [
         (billing, cat, window, indices)
         for billing in comparison.billings
-        for cat in (*ds.categories_present, None)
+        for cat in (*ds.table.columns, None)
         for window, indices in windows
     ]
     totals = [

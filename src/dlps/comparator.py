@@ -22,14 +22,16 @@ row per state (profile order) and one column per customer (dataset order),
 from ``domain.demand_grid``, where ``M`` is the event compiled by
 ``scenario.event_multipliers`` (1 outside the event's scope). A signal
 becomes a price matrix ``P`` of the same layout (one column for the
-per-state kinds), and a category's billing at each state is the sum of
-``P * D`` over its customers' columns, marked up when asked. The flat and
-TOU prices read their per-state demand totals from the event-free grid.
+per-state kinds), and each category of the customer table is billed at
+each state by the sum of ``P * D`` over its columns, marked up when asked;
+a category with no configuration raises KeyError. The flat and TOU prices
+read their per-state event-free demand totals one state row at a time.
 
+``compare_signals`` compiles the event and builds ``D`` once for all its
+signals, and ``bill_under_signal`` is its one-signal case.
 ``standard_comparison`` takes ``D`` and the proposed prices ``P`` from one
-``pricing.price_grid`` call and bills all four signals from them;
-``bill_under_signal`` and the ``derive_*`` functions give the same numbers,
-bit for bit, one at a time.
+``pricing.price_grid`` call instead, and bills the same numbers, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -40,13 +42,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .domain import (
-    Category,
-    Dataset,
-    DayProfile,
-    category_columns,
-    demand_grid,
-)
+from .domain import Category, Dataset, DayProfile, demand_grid
 from .pricing import PriceSchedule, build_schedule, off_peak_price, price_grid
 from .scenario import Scenario, event_multipliers
 
@@ -110,14 +106,9 @@ def derive_flat(ds: Dataset) -> TariffSignal:
     Weighting by total demand makes flat billing over the whole day equal
     RTP billing over the whole day for the same demands.
     """
-    return _derive_flat(ds, demand_grid(ds).sum(axis=1))
-
-
-def _derive_flat(ds: Dataset, totals: np.ndarray) -> TariffSignal:
-    """``derive_flat`` from the per-state totals of the event-free grid."""
     mcps = np.array([s.mcp for s in ds.profile.states], dtype=float)
     # at zero margin the off-peak rule is the load-weighted mean market price
-    value = off_peak_price(totals, mcps, 0.0)
+    value = off_peak_price(_day_totals(ds), mcps, 0.0)
     return TariffSignal(
         kind=SignalKind.FLAT, values={s.index: value for s in ds.profile.states}
     )
@@ -130,13 +121,9 @@ def derive_tou(ds: Dataset, peak_multiplier: float = 1.0) -> TariffSignal:
     own window; larger multipliers stress the peak block. The peak block
     must not price below the off-peak block.
     """
-    return _derive_tou(ds, demand_grid(ds).sum(axis=1), peak_multiplier)
-
-
-def _derive_tou(ds: Dataset, totals: np.ndarray, peak_multiplier: float) -> TariffSignal:
-    """``derive_tou`` from the per-state totals of the event-free grid."""
     if peak_multiplier < 1.0:
         raise ValueError(f"peak multiplier must be >= 1, got {peak_multiplier}")
+    totals = _day_totals(ds)
     mcps = np.array([s.mcp for s in ds.profile.states], dtype=float)
     peak = np.array([s.is_peak for s in ds.profile.states])
     peak_value = peak_multiplier * off_peak_price(totals[peak], mcps[peak], 0.0)
@@ -150,6 +137,14 @@ def _derive_tou(ds: Dataset, totals: np.ndarray, peak_multiplier: float) -> Tari
         s.index: (peak_value if s.is_peak else off_value) for s in ds.profile.states
     }
     return TariffSignal(kind=SignalKind.TOU, values=values)
+
+
+def _day_totals(ds: Dataset) -> np.ndarray:
+    """Event-free demand of each state summed over every customer, one state
+    at a time; bitwise ``demand_grid(ds).sum(axis=1)``, whose rows are
+    contiguous."""
+    base = ds.table.base
+    return np.array([(s.load_factor * base).sum() for s in ds.profile.states])
 
 
 def proposed_signal(schedule: PriceSchedule) -> TariffSignal:
@@ -180,9 +175,7 @@ class SignalBilling:
         )
 
 
-def _signal_prices(
-    ds: Dataset, signal: TariffSignal, columns: Mapping[Category, np.ndarray]
-) -> np.ndarray:
+def _signal_prices(ds: Dataset, signal: TariffSignal) -> np.ndarray:
     """Unit prices per (state, customer) on the demand grid's layout.
 
     Per-state kinds give one column that broadcasts over customers; the
@@ -200,7 +193,7 @@ def _signal_prices(
     assert signal.schedule is not None
     price = signal.schedule.price  # raises KeyError naming the missing cell
     prices = np.zeros((len(states), len(ds.table)))
-    for cols in columns.values():
+    for cols in ds.table.columns.values():
         customers = [ds.customers[j] for j in cols.tolist()]
         for r, state in enumerate(states):
             if state.is_peak:
@@ -222,26 +215,21 @@ def bill_under_signal(
     profit factor when ``with_profit`` is set, putting them on the same
     retailer-revenue footing as the proposed signal, which embeds its
     margin already. A demand-response event scales each customer's demand
-    inside the event's scope before billing.
+    inside the event's scope before billing. It is the one column of
+    ``compare_signals(ds, [signal], with_profit, dr_event)``.
     """
-    multipliers = None if dr_event is None else event_multipliers(dr_event, ds)
-    columns = category_columns(ds)
-    prices = _signal_prices(ds, signal, columns)
-    return _bill(ds, signal.kind, prices, demand_grid(ds, multipliers), columns, with_profit)
+    return compare_signals(ds, [signal], with_profit, dr_event).billings[0]
 
 
 def _bill(
-    ds: Dataset,
-    kind: SignalKind,
-    prices: np.ndarray,
-    demand: np.ndarray,
-    columns: Mapping[Category, np.ndarray],
-    with_profit: bool,
+    ds: Dataset, kind: SignalKind, prices: np.ndarray, demand: np.ndarray, with_profit: bool
 ) -> SignalBilling:
-    """``bill_under_signal`` from a price matrix and the demand grid it bills."""
+    """Billing of every category of ``ds.table.columns`` at every state, from
+    a price matrix and the demand grid it bills. Raises KeyError for a
+    category with no configuration."""
     spend = prices * demand
     out: dict[tuple[Category, int], float] = {}
-    for category, cols in columns.items():
+    for category, cols in ds.table.columns.items():
         kp = ds.profit_factor(category)
         markup = 1.0 + kp if (with_profit and kind is not SignalKind.PROPOSED) else 1.0
         cells = spend[:, cols].sum(axis=1).tolist()
@@ -273,17 +261,23 @@ def compare_signals(
     with_profit: bool = True,
     dr_event: Scenario | None = None,
 ) -> BillingComparison:
-    """Bill the same day under each signal; one column per signal kind."""
-    billings = []
+    """Bill the same day under each signal; one column per signal kind.
+
+    The event is compiled, and the demand grid built, once for every signal.
+    """
+    signals = tuple(signals)
+    if not signals:
+        raise ValueError("nothing to compare, no signals given")
     seen: set[SignalKind] = set()
     for signal in signals:
         if signal.kind in seen:
             raise ValueError(f"duplicate signal kind {signal.kind.value}")
         seen.add(signal.kind)
-        billings.append(bill_under_signal(ds, signal, with_profit, dr_event))
-    if not billings:
-        raise ValueError("nothing to compare, no signals given")
-    return BillingComparison(billings=tuple(billings))
+    multipliers = None if dr_event is None else event_multipliers(dr_event, ds)
+    demand = demand_grid(ds, multipliers)
+    return BillingComparison(billings=tuple(
+        _bill(ds, s.kind, _signal_prices(ds, s), demand, with_profit) for s in signals
+    ))
 
 
 def compare_to_reference(
@@ -336,19 +330,10 @@ def standard_comparison(
     ``derive_tou`` and ``proposed_signal(event_schedule(ds, dr_event))``,
     bit for bit. ``D`` and the proposed prices come from one
     ``price_grid(ds, dr_event)`` call, which raises KeyError for a category
-    with no configuration.
+    with no configuration; no other demand grid is built.
     """
     demand, proposed, _ = price_grid(ds, dr_event)
-    columns = category_columns(ds)
-    totals = demand_grid(ds).sum(axis=1)
-    signals = (
-        _derive_flat(ds, totals),
-        rtp_signal(ds.profile),
-        _derive_tou(ds, totals, tou_peak_multiplier),
-    )
-    billings = [
-        _bill(ds, signal.kind, _signal_prices(ds, signal, columns), demand, columns, with_profit)
-        for signal in signals
-    ]
-    billings.append(_bill(ds, SignalKind.PROPOSED, proposed, demand, columns, with_profit))
+    signals = (derive_flat(ds), rtp_signal(ds.profile), derive_tou(ds, tou_peak_multiplier))
+    billings = [_bill(ds, s.kind, _signal_prices(ds, s), demand, with_profit) for s in signals]
+    billings.append(_bill(ds, SignalKind.PROPOSED, proposed, demand, with_profit))
     return BillingComparison(billings=tuple(billings))

@@ -46,7 +46,6 @@ __all__ = [
     "Violation",
     "category_demands",
     "demand_grid",
-    "category_columns",
     "select_states",
     "validate_dataset",
 ]
@@ -206,11 +205,19 @@ class DayProfile:
     states: tuple[SystemState, ...]
     source: str = ""
 
+    @cached_property
+    def row_of(self) -> Mapping[int, int]:
+        """Row in ``states`` of each state index (the first, if one repeats)."""
+        return MappingProxyType({s.index: r for r, s in reversed(tuple(enumerate(self.states)))})
+
+    def row(self, index: int) -> int:
+        try:
+            return self.row_of[index]
+        except KeyError:
+            raise KeyError(f"no state with index {index}") from None
+
     def state(self, index: int) -> SystemState:
-        for s in self.states:
-            if s.index == index:
-                return s
-        raise KeyError(f"no state with index {index}")
+        return self.states[self.row(index)]
 
     @property
     def peak_states(self) -> tuple[SystemState, ...]:
@@ -296,12 +303,6 @@ def demand_grid(ds: Dataset, multipliers: np.ndarray | None = None) -> np.ndarra
     if multipliers is not None:
         grid *= multipliers
     return grid
-
-
-def category_columns(ds: Dataset) -> dict[Category, np.ndarray]:
-    """Grid column indices of each present category's customers, in dataset order."""
-    columns = ds.table.columns
-    return {cat: columns[cat] for cat in ds.categories_present}
 
 
 def select_states(

@@ -28,9 +28,10 @@ bitwise those of pricing each group from its customers one by one.
 
 A group whose sum of squares could overflow, or lose bits to subnormal
 squares, is priced from its demands scaled by a power of two, and so is a
-window whose totals could overflow or go subnormal; the largest value sets
-the scale before any sum is taken. The scaling is exact, so prices keep
-every bit where the sums fit, and the balance holds at any magnitude.
+window whose totals could overflow or go subnormal; the largest value
+(for a window's rows, a bound on it) sets the scale before any sum is
+taken. The scaling is exact, so prices keep every bit where the sums fit,
+and the balance holds at any magnitude.
 """
 
 from __future__ import annotations
@@ -41,14 +42,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .domain import (
-    Category,
-    Customer,
-    Dataset,
-    SystemState,
-    category_columns,
-    select_states,
-)
+from .domain import Category, Customer, Dataset, SystemState, select_states
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -106,7 +100,8 @@ def _check_price_inputs(mcp: float, profit_factor: float) -> None:
 # A group totalling at most _TOTAL_MAX has a sum of squares of at most
 # 2**500; a sum of squares of at least _SUM_SQ_MIN keeps every square normal
 # unless the demands span more than about 2**250 to one.
-_TOTAL_MAX = 2.0**250
+_TOTAL_EXP = 250
+_TOTAL_MAX = 2.0**_TOTAL_EXP
 _SUM_SQ_MIN = 2.0**-500
 
 
@@ -282,7 +277,7 @@ def price_grid(
     if states is None:
         rows: Sequence[int] = range(len(profile.states))
     else:
-        rows = [profile.states.index(profile.state(index)) for index in states]
+        rows = [profile.row(index) for index in states]
         if len(set(rows)) < len(rows):
             raise ValueError(f"states must not repeat, got {list(states)}")
     multipliers = None
@@ -300,28 +295,34 @@ def price_grid(
     prices = np.empty_like(demand)
     off_rows = [k for r, k in out.items() if not profile.states[r].is_peak]
     off_mcps = np.array([s.mcp for s in profile.off_peak_states], dtype=float)
+    # a category's demands are below 2**shift, shift = the exponent of its
+    # largest base demand plus `grow`; the window is summed at that scale,
+    # exactly, when a demand could exceed _TOTAL_MAX, so no total overflows
+    grow = math.frexp(lf.max())[1]
+    if multipliers is not None:
+        grow += math.frexp(multipliers.max())[1]
     off_peak: dict[Category, float] = {}
     for category, cols in ds.table.columns.items():
         kp = ds.config_for(category).profit_factor
-        group = base[cols]
+        shift = math.frexp(base[cols].max())[1] + grow
+        shift = shift if shift > _TOTAL_EXP else 0
+        group = np.ldexp(base[cols], -shift)
         totals = []
         for r, state in enumerate(profile.states):
             k = out.get(r)
-            if k is not None:
-                d = demand[k, cols]
-            elif state.is_peak:
-                continue
-            else:
-                d = lf[r] * group if multipliers is None else lf[r] * group * multipliers[r, cols]
             if not state.is_peak:
+                if k is None:
+                    d = lf[r] * group if multipliers is None else lf[r] * group * multipliers[r, cols]
+                else:
+                    d = np.ldexp(demand[k, cols], -shift) if shift else demand[k, cols]
                 totals.append(d.sum())
-                continue
-            try:
-                prices[k, cols] = on_peak_prices(d, kp, state.mcp)
-            except DegenerateGroupError as exc:
-                raise DegenerateGroupError(
-                    f"category {category.value} at state {state.index}: {exc}"
-                ) from None
+            elif k is not None:
+                try:
+                    prices[k, cols] = on_peak_prices(demand[k, cols], kp, state.mcp)
+                except DegenerateGroupError as exc:
+                    raise DegenerateGroupError(
+                        f"category {category.value} at state {state.index}: {exc}"
+                    ) from None
         try:
             off_peak[category] = off_peak_price(totals, off_mcps, kp)
         except DegenerateWindowError as exc:
@@ -343,7 +344,7 @@ def build_schedule(ds: Dataset, dr_event: Scenario | None = None) -> PriceSchedu
     peak = ds.profile.peak_indices
     _, prices, off_peak = price_grid(ds, dr_event, peak)
     on_peak: dict[tuple[str, int], float] = {}
-    for cols in category_columns(ds).values():
+    for cols in ds.table.columns.values():
         ids = [ds.table.ids[j] for j in cols.tolist()]
         for k, index in enumerate(peak):
             on_peak.update(zip([(cid, index) for cid in ids], prices[k, cols].tolist()))

@@ -156,7 +156,7 @@ def event_multipliers(sc: Scenario, ds: Dataset) -> np.ndarray:
     are not states of the profile, in the order they are met.
     """
     states = ds.profile.states
-    row_of = {s.index: r for r, s in enumerate(states)}
+    row_of = ds.profile.row_of
     scope = [s.index for s in select_states(ds.profile, sc.scope)]
     ids = ds.table.ids
     event = sc.perturbations
@@ -210,7 +210,7 @@ def apply_scenario(ds: Dataset, sc: Scenario, at_state: int | None = None) -> Da
                 "pass at_state to pick the state to realize"
             )
         at_state = next(iter(select_states(ds.profile, sc.scope)), ds.profile.states[0]).index
-    row = event_multipliers(sc, ds)[ds.profile.states.index(ds.profile.state(at_state))]
+    row = event_multipliers(sc, ds)[ds.profile.row(at_state)]
     ids, codes, base = ds.table.ids, ds.table.codes, ds.table.base * row
     dropped = np.flatnonzero(base <= 0)
     if dropped.size:
@@ -280,15 +280,15 @@ def financial_summary(
     """Closed-form finances over a scope: purchase cost, revenue, margin.
 
     Purchase cost sums market price times demand; revenue marks each
-    category's purchase cost up by its profit factor. This is the identity
+    category's purchase cost up by its profit factor. ``category=None``
+    takes every category of the customer table, and raises KeyError for one
+    with no configuration. This is the identity
     the price signal is built to satisfy, computed without touching any
     schedule, which makes it the cross-check partner of the schedule-based
     accounting in ``pricing.verify_ebe``.
     """
     selected = select_states(ds.profile, states)
-    categories = (
-        [category] if category is not None else list(ds.categories_present)
-    )
+    categories = [category] if category is not None else list(ds.table.columns)
     purchase = 0.0
     revenue = 0.0
     for cat in categories:

@@ -165,16 +165,24 @@ class TestPrice:
         assert "non-finite" in err and "column" in err
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("demand", ["1e200", "1e308", "1e-320"])
+    @pytest.mark.parametrize("demand, count", [
+        pytest.param("1e200", 2, id="1e200"),
+        pytest.param("1e308", 2, id="1e308"),
+        pytest.param("1e308", 3, id="1e308-three"),
+        pytest.param("1e-320", 2, id="1e-320"),
+    ])
     def test_equal_pair_at_the_float_edges_pays_the_flat_price(
-        self, capsys, tmp_path, bench_ds, demand
+        self, capsys, tmp_path, bench_ds, demand, count
     ):
         # the sum of squared demands overflows (1e200, 1e308) or underflows to
-        # zero (1e-320), and the off-peak window's energy overflows (1e308);
-        # both customers must still pay (1 + p) * mcp at each peak state and
-        # the load-weighted off-peak price
+        # zero (1e-320), the off-peak window's energy overflows (1e308), and
+        # so does each off-peak state's total (three of 1e308); every customer
+        # must still pay (1 + p) * mcp at each peak state and the
+        # load-weighted off-peak price
         customers = tmp_path / "customers.csv"
-        customers.write_text(f"id,category,base_demand_kw\nI1,industrial,{demand}\nI2,industrial,{demand}\n")
+        customers.write_text("id,category,base_demand_kw\n" + "".join(
+            f"I{j},industrial,{demand}\n" for j in range(1, count + 1)
+        ))
         mcp = tmp_path / "mcp.csv"
         mcp.write_text(profile_to_csv(bench_ds.profile))
         code, out, err = run(["price", "--customers", str(customers), "--mcp", str(mcp), "--all"], capsys)
@@ -184,7 +192,7 @@ class TestPrice:
             str(s.index): round2_reference(fixed_price(s.mcp, kp)) for s in bench_ds.profile.peak_states
         }
         rows = sections(out)["on_peak"]
-        assert len(rows) == 12
+        assert len(rows) == 6 * count
         assert all(row["unit_price_rs"] == flat[row["state"]] for row in rows)
         window = bench_ds.profile.off_peak_states
         off_peak = off_peak_price([s.load_factor for s in window], [s.mcp for s in window], kp)

@@ -22,7 +22,7 @@ from dlps import (
     validate_dataset,
 )
 from dlps import cli
-from dlps.domain import category_columns, category_demands, demand_grid
+from dlps.domain import category_demands, demand_grid
 from dlps.ingest import _customer_table
 
 from helpers import build_dataset, build_profile, feeder_csv, loop_customer_violations
@@ -80,8 +80,8 @@ class TestCustomerTable:
         assert "customers" not in ds.__dict__
         assert ds.table is table
         assert ds.categories_present == bench_ds.categories_present
-        assert category_columns(ds).keys() == category_columns(bench_ds).keys()
-        for cat, cols in category_columns(ds).items():
+        assert ds.table.columns.keys() == bench_ds.table.columns.keys()
+        for cat, cols in ds.table.columns.items():
             assert cols.tolist() == [
                 j for j, c in enumerate(bench_ds.customers) if c.category == cat
             ]

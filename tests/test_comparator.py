@@ -439,31 +439,44 @@ class TestSingleCompile:
         )
         assert fused == apart
 
-    def test_each_step_runs_once(self, bench_ds, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch):
+        """{name: calls} of the functions below, counted wherever dlps holds them."""
         import dlps.domain
         import dlps.scenario
 
         calls = {}
         for module, name in (
             (dlps.domain, "select_states"),
-            (dlps.domain, "category_columns"),
             (dlps.domain, "demand_grid"),
             (dlps.scenario, "event_multipliers"),
         ):
             original = getattr(module, name)
+            calls[name] = 0
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+                calls[_name] += 1
                 return _original(*args, **kwargs)
 
             for held in [m for n, m in sys.modules.items() if n.startswith("dlps.")]:
                 if getattr(held, name, None) is original:
                     monkeypatch.setattr(held, name, counted)
+        return calls
+
+    def test_each_step_runs_once(self, bench_ds, monkeypatch):
+        calls = self.count_calls(monkeypatch)
         event = random_dr_event(bench_ds, 0.15, seed=1)
         standard_comparison(bench_ds, 1.5, dr_event=event)
-        assert calls == {
-            "select_states": 1,
-            "category_columns": 1,
-            "demand_grid": 1,
-            "event_multipliers": 1,
-        }
+        assert calls == {"select_states": 1, "demand_grid": 0, "event_multipliers": 1}
+
+    def test_compare_signals_compiles_once_for_every_signal(self, bench_ds, monkeypatch):
+        event = random_dr_event(bench_ds, 0.15, seed=1)
+        signals = (
+            derive_flat(bench_ds),
+            rtp_signal(bench_ds.profile),
+            derive_tou(bench_ds, 1.5),
+            proposed_signal(event_schedule(bench_ds, event)),
+        )
+        calls = self.count_calls(monkeypatch)
+        compare_signals(bench_ds, signals, dr_event=event)
+        assert calls == {"select_states": 1, "demand_grid": 1, "event_multipliers": 1}

@@ -18,15 +18,22 @@ from dlps import (
     CustomerTable,
     DegenerateGroupError,
     DegenerateWindowError,
+    bill_under_signal,
     build_schedule,
+    compare_signals,
     demand_grid,
+    derive_flat,
+    derive_tou,
+    financial_summary,
     fixed_price,
     off_peak_price,
     on_peak_prices,
     price_grid,
     price_demand_slope,
     proportionality_constant,
+    proposed_signal,
     random_dr_event,
+    rtp_signal,
     standard_comparison,
     verify_ebe,
 )
@@ -348,14 +355,29 @@ class TestPriceGrid:
         with pytest.raises(DegenerateWindowError, match="industrial off-peak window"):
             price_grid(ds)
 
-    @pytest.mark.parametrize("price", [price_grid, build_schedule, standard_comparison])
+    # each case takes the dataset without residential configuration and the
+    # bundled one, which the proposed signal's schedule is built from
+    @pytest.mark.parametrize("price", [
+        lambda ds, _: price_grid(ds),
+        lambda ds, _: build_schedule(ds),
+        lambda ds, _: standard_comparison(ds),
+        lambda ds, _: bill_under_signal(ds, derive_flat(ds)),
+        lambda ds, _: bill_under_signal(ds, rtp_signal(ds.profile)),
+        lambda ds, _: bill_under_signal(ds, derive_tou(ds)),
+        lambda ds, full: bill_under_signal(ds, proposed_signal(build_schedule(full))),
+        lambda ds, _: compare_signals(ds, [rtp_signal(ds.profile), derive_flat(ds)]),
+        lambda ds, _: financial_summary(ds),
+    ], ids=[
+        "price_grid", "build_schedule", "standard_comparison", "bill_flat", "bill_rtp",
+        "bill_tou", "bill_proposed", "compare_signals", "financial_summary",
+    ])
     def test_a_category_with_no_configuration_is_named(self, bench_ds, price):
         configured = tuple(
             cfg for cfg in bench_ds.categories if cfg.category is not Category.RESIDENTIAL
         )
         ds = dataclasses.replace(bench_ds, categories=configured)
         with pytest.raises(KeyError, match="no configuration for category residential"):
-            price(ds)
+            price(ds, bench_ds)
 
 
 class TestVerifyEbe:

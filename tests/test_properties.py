@@ -38,7 +38,6 @@ from dlps import (
     standard_comparison,
     verify_ebe,
 )
-from dlps.domain import category_columns
 
 from helpers import build_dataset, build_profile, loop_peak_prices
 
@@ -101,7 +100,7 @@ class TestBalance:
         states = ds.profile.states
         mcp = np.array([s.mcp for s in states])
         off = [r for r, s in enumerate(states) if not s.is_peak]
-        for cat, cols in category_columns(ds).items():
+        for cat, cols in ds.table.columns.items():
             markup = 1.0 + ds.profit_factor(cat)
             d, p = demand[:, cols], prices[:, cols]
             for r, s in enumerate(states):
@@ -119,7 +118,7 @@ class TestBalance:
     def test_loop_oracle_lands_on_the_profit_factor(self, ds):
         schedule = build_schedule(ds)
         scopes = [s.index for s in ds.profile.states if s.is_peak] + ["off_peak", "day"]
-        for cat in category_columns(ds):
+        for cat in ds.table.columns:
             for scope in scopes:
                 fin = verify_ebe(ds, schedule, cat, scope)
                 assert fin.profit_fraction == pytest.approx(ds.profit_factor(cat), rel=REL)
@@ -307,7 +306,7 @@ class TestPeakPriceOrder:
     def test_price_follows_demand_within_a_group(self, data):
         ds = data.draw(datasets())
         demand, prices, _ = price_grid(ds, data.draw(events(ds)))
-        for cat, cols in category_columns(ds).items():
+        for cat, cols in ds.table.columns.items():
             for r, state in enumerate(ds.profile.states):
                 if not state.is_peak:
                     continue
