@@ -409,7 +409,8 @@ def _price_state_table(ds: Dataset, state_index: int) -> Table:
     share = np.empty_like(d)
     flat = np.empty_like(d)
     for cat, cols in ds.table.columns.items():
-        share[cols] = 100.0 * d[cols] / float(d[cols].sum())
+        group = np.ldexp(d[cols], -math.frexp(d[cols].max())[1])  # summed as pricing sums
+        share[cols] = 100.0 * group / float(group.sum())
         flat[cols] = fixed_price(state.mcp, ds.profit_factor(cat))
     columns = (
         *_customer_keys(ds),
@@ -977,7 +978,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # no numpy warning: every cell is checked before anything is
+        # written, so the table check reports an overflow, once
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,8 @@ becomes a price matrix ``P`` of the same layout (one column for the
 per-state kinds), and each category of the customer table is billed at
 each state by the sum of ``P * D`` over its columns, marked up when asked;
 a category with no configuration raises KeyError. The flat and TOU prices
-read their per-state event-free demand totals one state row at a time.
+read their per-state event-free demand totals one state row at a time,
+scaled by a power of two so that no total overflows.
 
 ``compare_signals`` compiles the event and builds ``D`` once for all its
 signals, and ``bill_under_signal`` is its one-signal case.
@@ -36,6 +37,7 @@ bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -141,10 +143,12 @@ def derive_tou(ds: Dataset, peak_multiplier: float = 1.0) -> TariffSignal:
 
 def _day_totals(ds: Dataset) -> np.ndarray:
     """Event-free demand of each state summed over every customer, one state
-    at a time; bitwise ``demand_grid(ds).sum(axis=1)``, whose rows are
-    contiguous."""
-    base = ds.table.base
-    return np.array([(s.load_factor * base).sum() for s in ds.profile.states])
+    at a time, scaled by the exponent of a bound on every demand: bitwise
+    ``demand_grid(ds).sum(axis=1)`` times that power of two where it fits."""
+    lf = [s.load_factor for s in ds.profile.states]
+    shift = math.frexp(ds.table.base.max(initial=0.0))[1] + math.frexp(max(lf))[1]
+    base = np.ldexp(ds.table.base, -shift)
+    return np.array([(f * base).sum() for f in lf])
 
 
 def proposed_signal(schedule: PriceSchedule) -> TariffSignal:

@@ -19,19 +19,18 @@ as a whole rather than state by state.
 ``price_grid`` prices the (state x customer) rows a caller asks for, in
 profile and dataset order. It builds them in one step, ``lf * base`` times
 the demand-response event ``M`` (``scenario.event_multipliers``) when there
-is one; an off-peak row not asked for is built per category only to be
-summed into the window. ``on_peak_prices`` runs once per (category,
+is one; each category's off-peak window is summed from rows built again
+from its scaled base demands. ``on_peak_prices`` runs once per (category,
 requested peak state) and ``off_peak_price`` once per category window, on
 the values the per-customer formulas above would see, so prices are
 bitwise those of pricing each group from its customers one by one.
 ``build_schedule`` keys the peak rows by (customer id, state index).
 
-A group whose sum of squares could overflow, or lose bits to subnormal
-squares, is priced from its demands scaled by a power of two, and so is a
-window whose totals could overflow or go subnormal; the largest value
-(for a window's rows, a bound on it) sets the scale before any sum is
-taken. The scaling is exact, so prices keep every bit where the sums fit,
-and the balance holds at any magnitude.
+Every sum is taken on its values times ``2**-e``, ``e`` the binary exponent
+of the largest value (for rows not built yet, of a bound on it), so no sum
+overflows or loses bits to subnormal squares. Scaling by a power of two is
+exact, so prices keep every bit wherever the plain sums fit, and the
+balance holds at any magnitude.
 """
 
 from __future__ import annotations
@@ -97,14 +96,6 @@ def _check_price_inputs(mcp: float, profit_factor: float) -> None:
         raise ValueError(f"profit factor must be in [0, 1), got {profit_factor}")
 
 
-# A group totalling at most _TOTAL_MAX has a sum of squares of at most
-# 2**500; a sum of squares of at least _SUM_SQ_MIN keeps every square normal
-# unless the demands span more than about 2**250 to one.
-_TOTAL_EXP = 250
-_TOTAL_MAX = 2.0**_TOTAL_EXP
-_SUM_SQ_MIN = 2.0**-500
-
-
 def _group_sums(
     demands, profit_factor: float, mcp: float
 ) -> tuple[np.ndarray, float, float, int]:
@@ -112,21 +103,14 @@ def _group_sums(
     squares and the exponent ``shift`` they are scaled by: the three are
     those of the group times ``2**-shift``.
 
-    ``shift`` is 0 unless the largest demand or the total exceeds
-    ``_TOTAL_MAX`` or the sum of squares falls below ``_SUM_SQ_MIN``; the
-    group is then scaled to a largest demand in [0.5, 1), exactly, so
-    neither the squares nor their sums overflow or lose bits. Raises
+    ``shift`` is the binary exponent of the largest demand, so the scaled
+    group's largest demand lies in [0.5, 1), exactly, and neither the
+    squares nor their sums overflow or lose bits. Raises
     DegenerateGroupError when every demand is zero.
     """
     _check_price_inputs(mcp, profit_factor)
     d = _as_demand_vector(demands)
     top = float(d.max())
-    if top <= _TOTAL_MAX:  # so the total cannot overflow
-        total = float(d.sum())
-        if total <= _TOTAL_MAX:
-            sum_sq = float(np.dot(d, d))
-            if sum_sq >= _SUM_SQ_MIN:
-                return d, total, sum_sq, 0
     if top == 0.0:
         raise DegenerateGroupError("every demand in the group is zero")
     shift = math.frexp(top)[1]
@@ -168,8 +152,8 @@ def off_peak_price(demands, mcps, profit_factor: float) -> float:
     vector of per-state total demands; ``mcps`` holds the matching per-state
     market prices. The result is the demand-weighted average market price
     marked up by the profit factor, so the group's billing over the window
-    equals purchase cost plus margin. Demands whose sums could overflow or
-    go subnormal are scaled first, by the rule of ``_group_sums``.
+    equals purchase cost plus margin. The demands are summed scaled by the
+    binary exponent of the largest one, by the rule of ``_group_sums``.
     """
     if not 0.0 <= profit_factor < 1.0:
         raise ValueError(f"profit factor must be in [0, 1), got {profit_factor}")
@@ -190,11 +174,6 @@ def off_peak_price(demands, mcps, profit_factor: float) -> float:
         raise ValueError("demands must be >= 0")
     _check_finite(d, "demands")
     top = float(d.max(initial=0.0))
-    if top <= _TOTAL_MAX:  # so no sum below can overflow
-        totals = d.sum(axis=1)
-        energy = float(totals.sum())
-        if _SUM_SQ_MIN <= energy <= _TOTAL_MAX:
-            return (1.0 + profit_factor) * float(np.dot(totals, m)) / energy
     if top == 0.0:
         raise DegenerateWindowError("window carries no energy")
     totals = np.ldexp(d, -math.frexp(top)[1]).sum(axis=1)
@@ -267,11 +246,12 @@ def price_grid(
 
     The requested rows are built in one step and each group is priced from
     a contiguous copy of its columns. A peak state not asked for is not
-    priced, and an off-peak one is built per category only to be summed
-    into its window. Raises KeyError for an index that is not a state of
-    the profile or a category with no configuration, ValueError for a
-    repeated index, and DegenerateGroupError or DegenerateWindowError with
-    the offending category and state named when a group cannot be priced.
+    priced, and every off-peak row is built again per category, from its
+    scaled base demands, to be summed into its window. Raises KeyError for
+    an index that is not a state of the profile or a category with no
+    configuration, ValueError for a repeated index, and DegenerateGroupError
+    or DegenerateWindowError with the offending category and state named
+    when a group cannot be priced.
     """
     profile = ds.profile
     if states is None:
@@ -295,26 +275,20 @@ def price_grid(
     prices = np.empty_like(demand)
     off_rows = [k for r, k in out.items() if not profile.states[r].is_peak]
     off_mcps = np.array([s.mcp for s in profile.off_peak_states], dtype=float)
-    # a category's demands are below 2**shift, shift = the exponent of its
-    # largest base demand plus `grow`; the window is summed at that scale,
-    # exactly, when a demand could exceed _TOTAL_MAX, so no total overflows
+    # a category's demands are below 2**(the exponent of its largest base
+    # demand + grow); its window is summed at that scale, so no total overflows
     grow = math.frexp(lf.max())[1]
     if multipliers is not None:
         grow += math.frexp(multipliers.max())[1]
     off_peak: dict[Category, float] = {}
     for category, cols in ds.table.columns.items():
         kp = ds.config_for(category).profit_factor
-        shift = math.frexp(base[cols].max())[1] + grow
-        shift = shift if shift > _TOTAL_EXP else 0
-        group = np.ldexp(base[cols], -shift)
+        group = np.ldexp(base[cols], -(math.frexp(base[cols].max())[1] + grow))
         totals = []
         for r, state in enumerate(profile.states):
             k = out.get(r)
             if not state.is_peak:
-                if k is None:
-                    d = lf[r] * group if multipliers is None else lf[r] * group * multipliers[r, cols]
-                else:
-                    d = np.ldexp(demand[k, cols], -shift) if shift else demand[k, cols]
+                d = lf[r] * group if multipliers is None else lf[r] * group * multipliers[r, cols]
                 totals.append(d.sum())
             elif k is not None:
                 try:

@@ -148,21 +148,30 @@ class TestPrice:
         assert rows["I1"]["unit_price_rs"] == "2.94"
         assert rows["I2"]["unit_price_rs"] == "5.87"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_price_exits_1_without_output(self, capsys, tmp_path, bench_ds):
-        # finite demands near the float limit pass ingest and validation, but
-        # the state table's demand shares overflow; the table writer must
-        # refuse the non-finite cells rather than print them
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("count, command, table", [
+        pytest.param(2, ["price", "--state", "22"], "price_state22", id="price-state-two"),
+        pytest.param(3, ["price", "--state", "22"], "price_state22", id="price-state-three"),
+        pytest.param(3, ["compare", "--dr-max", "0"], "comparison", id="compare-no-event"),
+        pytest.param(3, ["compare"], "comparison", id="compare-event"),
+    ])
+    def test_non_finite_price_exits_1_without_output(
+        self, capsys, tmp_path, bench_ds, count, command, table
+    ):
+        # finite demands near the float limit pass ingest, validation and
+        # pricing, but their bills overflow; the table writer must refuse the
+        # non-finite cells rather than print them, in one line and without
+        # a numpy warning
         customers = tmp_path / "customers.csv"
-        customers.write_text("id,category,base_demand_kw\nI1,industrial,1e308\nI2,industrial,1e308\n")
+        customers.write_text("id,category,base_demand_kw\n" + "".join(
+            f"I{j},industrial,1e308\n" for j in range(1, count + 1)
+        ))
         mcp = tmp_path / "mcp.csv"
         mcp.write_text(profile_to_csv(bench_ds.profile))
-        argv = ["price", "--customers", str(customers), "--mcp", str(mcp), "--state", "22"]
-        code, out, err = run(argv, capsys)
-        assert code == 1
-        assert out == ""
-        assert "non-finite" in err and "column" in err
+        argv = [command[0], "--customers", str(customers), "--mcp", str(mcp), *command[1:]]
+        assert run(argv, capsys) == (
+            1, "", f"error: table {table}, column billing_rs: non-finite value inf\n"
+        )
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("demand, count", [
@@ -200,14 +209,13 @@ class TestPrice:
             {"category": "industrial", "unit_price_rs": round2_reference(off_peak)}
         ]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "demand, mcp_scale, which, message",
         [
-            ("1e308", 1, "--state", "table price_state22, column demand_contribution_pct: "
-             "non-finite value nan"),
+            ("1e308", 1, "--state", "table price_state22, column billing_rs: "
+             "non-finite value inf"),
             ("30", 1e27, "--all", "table on_peak, column unit_price_rs: "
              "value too large to round to cents"),
             ("30", 1e27, "--state", "table price_state22, column unit_price_rs: "

@@ -7,7 +7,8 @@ window as a whole. Re-billed from ``build_schedule`` through the
 factor at every peak state, over the off-peak window and over the day.
 Peak prices do not depend on the load factor, and the off-peak price does
 not depend on the customers, nor peak prices on a power-of-two scale of
-the group, nor the off-peak price on a power-of-two scale of the window.
+the group, nor the off-peak price on a power-of-two scale of the window,
+nor the flat and TOU prices on a power-of-two scale of every demand.
 Rows priced on request are bitwise the rows of the whole grid. Permuting
 the customers permutes the price grid and leaves the billing unchanged;
 within a group at a peak state the price never falls as demand rises, and
@@ -28,7 +29,10 @@ from dlps import (
     CustomerTable,
     Scenario,
     build_schedule,
+    bundled_benchmark,
     demand_grid,
+    derive_flat,
+    derive_tou,
     event_multipliers,
     fixed_price,
     off_peak_price,
@@ -158,7 +162,7 @@ class TestClosedForms:
     @PROPERTY
     @given(
         st.lists(DEMANDS, min_size=1, max_size=40),
-        st.integers(-600, 600),
+        st.integers(-1000, 1000),
         MARGINS,
         st.floats(0.01, 100.0),
     )
@@ -190,6 +194,18 @@ class TestClosedForms:
         scaled = np.ldexp(totals, j)
         assert np.array_equal(np.ldexp(scaled, -j), totals)  # the scale itself is exact
         assert off_peak_price(scaled, mcps, kp) == off_peak_price(totals, mcps, kp)
+
+    @pytest.mark.filterwarnings("error")
+    @PROPERTY
+    @given(st.lists(DEMANDS, min_size=1, max_size=40), st.integers(-1000, 1000))
+    # three 1e308 kW customers, whose per-state totals overflow
+    @example([np.ldexp(1e308, -1000)] * 3, 1000)
+    def test_reference_prices_keep_every_bit_under_a_power_of_two_scale(self, d, j):
+        profile = bundled_benchmark().profile
+        ds = build_dataset(industrial=d, profile=profile)
+        scaled = build_dataset(industrial=np.ldexp(d, j), profile=profile)
+        for derive in (derive_flat, derive_tou):
+            assert derive(scaled).values == derive(ds).values
 
 
 ODD_SIZES = st.sampled_from([1, 3, 5, 7, 11, 19])
