@@ -523,9 +523,7 @@ def cmd_compare(args) -> int:
     ds = _load_dataset(args)
     if not 0.0 <= args.dr_max < 1.0:
         raise ValueError(f"--dr-max must be in [0, 1), got {args.dr_max}")
-    dr_event = (
-        random_dr_event(ds, args.dr_max, args.seed) if args.dr_max > 0 else None
-    )
+    dr_event = random_dr_event(ds, args.dr_max, args.seed) if args.dr_max > 0 else None
     comparison = standard_comparison(
         ds,
         tou_peak_multiplier=args.tou_multiplier,
@@ -534,18 +532,14 @@ def cmd_compare(args) -> int:
     )
     deltas = compare_to_reference(comparison, SignalKind.RTP)
 
-    cells = [
-        (billing, cat, state.index)
-        for billing in comparison.billings
-        for cat in ds.table.columns
-        for state in ds.profile.states
-    ]
+    # compare_to_reference walks the bills in their order: signal, category, state
+    billed = [v for b in comparison.billings for v in b.by_category_state.values()]
     comparison_table = Table("comparison", (
-        ("signal", "str", [b.kind.value for b, _, _ in cells]),
-        ("category", "str", [cat.value for _, cat, _ in cells]),
-        ("state", "int", [t for _, _, t in cells]),
-        ("billing_rs", "rs", [b.by_category_state[(cat, t)] for b, cat, t in cells]),
-        ("delta_vs_rtp_pct", "pct", [deltas[(b.kind, cat, t)] for b, cat, t in cells]),
+        ("signal", "str", [kind.value for kind, _, _ in deltas]),
+        ("category", "str", [cat.value for _, cat, _ in deltas]),
+        ("state", "int", [t for _, _, t in deltas]),
+        ("billing_rs", "rs", billed),
+        ("delta_vs_rtp_pct", "pct", list(deltas.values())),
     ))
 
     windows = (

@@ -24,9 +24,9 @@ from ``domain.demand_grid``, where ``M`` is the event compiled by
 becomes a price matrix ``P`` of the same layout (one column for the
 per-state kinds), and each category of the customer table is billed at
 each state by the sum of ``P * D`` over its columns, marked up when asked;
-a category with no configuration raises KeyError. The flat and TOU prices
-read their per-state event-free demand totals one state row at a time,
-scaled by a power of two so that no total overflows.
+a category with no configuration raises KeyError. Every event-free demand
+is ``lf * base``, so weighting by ``lf`` is weighting by demand: the flat
+and TOU prices read the profile alone, never the customers.
 
 ``compare_signals`` compiles the event and builds ``D`` once for all its
 signals, and ``bill_under_signal`` is its one-signal case.
@@ -37,7 +37,6 @@ bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -105,12 +104,13 @@ def rtp_signal(profile: DayProfile) -> TariffSignal:
 def derive_flat(ds: Dataset) -> TariffSignal:
     """Day-long flat price: load-weighted mean of the market price.
 
-    Weighting by total demand makes flat billing over the whole day equal
-    RTP billing over the whole day for the same demands.
+    Load-factor weights are total-demand weights, each demand being base
+    times load factor, so flat billing of the event-free day equals RTP's.
     """
+    lf = np.array([s.load_factor for s in ds.profile.states], dtype=float)
     mcps = np.array([s.mcp for s in ds.profile.states], dtype=float)
     # at zero margin the off-peak rule is the load-weighted mean market price
-    value = off_peak_price(_day_totals(ds), mcps, 0.0)
+    value = off_peak_price(lf, mcps, 0.0)
     return TariffSignal(
         kind=SignalKind.FLAT, values={s.index: value for s in ds.profile.states}
     )
@@ -119,17 +119,18 @@ def derive_flat(ds: Dataset) -> TariffSignal:
 def derive_tou(ds: Dataset, peak_multiplier: float = 1.0) -> TariffSignal:
     """Two-block time-of-use price: one load-weighted mean per window.
 
-    At multiplier 1.0 each block is revenue-neutral against RTP within its
-    own window; larger multipliers stress the peak block. The peak block
-    must not price below the off-peak block.
+    At multiplier 1.0 each block, weighted by load factor as in
+    ``derive_flat``, is revenue-neutral against RTP within its own window;
+    larger multipliers stress the peak block, which must not price below
+    the off-peak block.
     """
     if peak_multiplier < 1.0:
         raise ValueError(f"peak multiplier must be >= 1, got {peak_multiplier}")
-    totals = _day_totals(ds)
+    lf = np.array([s.load_factor for s in ds.profile.states], dtype=float)
     mcps = np.array([s.mcp for s in ds.profile.states], dtype=float)
     peak = np.array([s.is_peak for s in ds.profile.states])
-    peak_value = peak_multiplier * off_peak_price(totals[peak], mcps[peak], 0.0)
-    off_value = off_peak_price(totals[~peak], mcps[~peak], 0.0)
+    peak_value = peak_multiplier * off_peak_price(lf[peak], mcps[peak], 0.0)
+    off_value = off_peak_price(lf[~peak], mcps[~peak], 0.0)
     if peak_value < off_value:
         raise ValueError(
             f"time-of-use peak price {peak_value:.6g} fell below "
@@ -139,16 +140,6 @@ def derive_tou(ds: Dataset, peak_multiplier: float = 1.0) -> TariffSignal:
         s.index: (peak_value if s.is_peak else off_value) for s in ds.profile.states
     }
     return TariffSignal(kind=SignalKind.TOU, values=values)
-
-
-def _day_totals(ds: Dataset) -> np.ndarray:
-    """Event-free demand of each state summed over every customer, one state
-    at a time, scaled by the exponent of a bound on every demand: bitwise
-    ``demand_grid(ds).sum(axis=1)`` times that power of two where it fits."""
-    lf = [s.load_factor for s in ds.profile.states]
-    shift = math.frexp(ds.table.base.max(initial=0.0))[1] + math.frexp(max(lf))[1]
-    base = np.ldexp(ds.table.base, -shift)
-    return np.array([(f * base).sum() for f in lf])
 
 
 def proposed_signal(schedule: PriceSchedule) -> TariffSignal:
@@ -288,7 +279,7 @@ def compare_to_reference(
     comparison: BillingComparison,
     reference: SignalKind = SignalKind.RTP,
 ) -> dict[tuple[SignalKind, Category, int], float]:
-    """Percentage billing deltas of every cell against the reference signal.
+    """Percentage billing deltas against the reference signal, in bill order.
 
     Raises when a reference cell is zero, since a relative delta against
     zero billing has no meaning.

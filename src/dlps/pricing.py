@@ -279,7 +279,7 @@ def price_grid(
     # demand + grow); its window is summed at that scale, so no total overflows
     grow = math.frexp(lf.max())[1]
     if multipliers is not None:
-        grow += math.frexp(multipliers.max())[1]
+        grow += math.frexp(multipliers.max(initial=0.0))[1]
     off_peak: dict[Category, float] = {}
     for category, cols in ds.table.columns.items():
         kp = ds.config_for(category).profit_factor

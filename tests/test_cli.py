@@ -719,6 +719,26 @@ class TestCompare:
         )
         assert total(without) < total(with_profit)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra", [[], ["--dr-max", "0"]], ids=["event", "no-event"])
+    def test_header_only_customers_bill_nothing(self, capsys, tmp_path, bench_ds, extra):
+        # no customers: the reference prices still come from the profile, and
+        # every bill is an empty sum
+        customers = tmp_path / "customers.csv"
+        customers.write_text("id,category,base_demand_kw\n")
+        mcp = tmp_path / "mcp.csv"
+        mcp.write_text(profile_to_csv(bench_ds.profile))
+        code, out, err = run(
+            ["compare", "--customers", str(customers), "--mcp", str(mcp), *extra], capsys
+        )
+        assert (code, err) == (0, "")
+        tables = sections(out)
+        assert tables["comparison"] == []
+        assert [(r["signal"], r["category"], r["billing_rs"]) for r in tables["aggregates"]] == [
+            (kind, "all", "0.00") for kind in ("flat", "rtp", "tou", "proposed") for _ in range(3)
+        ]
+        assert out.startswith("# comparison\nsignal,category,state,billing_rs,delta_vs_rtp_pct\n")
+
 
 class TestValidate:
     def test_benchmark_passes_all_checks(self, capsys):

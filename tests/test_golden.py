@@ -105,25 +105,25 @@ GOLDEN_JSON = {
     "compare": (
         ["compare", "--benchmark"],
         {
-            "comparison.json": "103f4bfa428eb2e90b589fe7f391cd92642aeb0e19ccdc09ad9f1199f76194b1",
+            "comparison.json": "d5a952cc0ec5d91bd42ced98bac8cb82d3264773bb072cd5393bff956409ea2d",
         },
     ),
     "compare-no-event": (
         ["compare", "--benchmark", "--dr-max", "0"],
         {
-            "comparison.json": "ed8aa0735562f79ae02924e1e339c2c6df932786d61f50bacee6ce5bb9ff0d2d",
+            "comparison.json": "4d4b2da1583bb79c580ccde574cd4e9eeebf2b67b3c91e7032b198385f5f682a",
         },
     ),
     "compare-event-tou": (
         ["compare", "--benchmark", "--dr-max", "0.3", "--seed", "7", "--tou-multiplier", "1.5"],
         {
-            "comparison.json": "998099a429e0bad97aa50bd93a5ee5f00b600c732c110531776ab1a883e9e0ab",
+            "comparison.json": "710660b8909862332a909ec32c077b1c72134640a7d56f6eda87dcbe7f56cac8",
         },
     ),
     "compare-no-profit": (
         ["compare", "--benchmark", "--no-profit"],
         {
-            "comparison.json": "bc132b04ac6b83a472dcebd904f2ed24f9611161158e49c91501411cf7af683b",
+            "comparison.json": "006f18b5d06409c342a1fbc14b33f786430609311dbe54d590f502827a40df63",
         },
     ),
 }
@@ -155,7 +155,7 @@ GOLDEN_FEEDER = {
         {
             "aggregates.csv": "6f6becc8af7c00ff9f7c92d415da92cc8a407622ecf9fc358677b0e53230e6f5",
             "comparison.csv": "a772fa5325fd772a025a005c1e10ac1c836cd46100d2d7c09aa5cf7549a1a8a7",
-            "comparison.json": "014ec5c918aff3ce2db5d07b95f45ddaba10f70b4682ef9522289551b4c504ad",
+            "comparison.json": "b51a726d2f60fdad8a505e26e76f14fb2e38ab118c04efacc69392dcabc85082",
         },
     ),
 }

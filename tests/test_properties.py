@@ -5,10 +5,12 @@ factor) times its purchase cost at every peak state and over the off-peak
 window as a whole. Re-billed from ``build_schedule`` through the
 ``verify_ebe`` loop, each category's profit fraction equals its profit
 factor at every peak state, over the off-peak window and over the day.
-Peak prices do not depend on the load factor, and the off-peak price does
-not depend on the customers, nor peak prices on a power-of-two scale of
-the group, nor the off-peak price on a power-of-two scale of the window,
-nor the flat and TOU prices on a power-of-two scale of every demand.
+Peak prices do not depend on the load factor, the off-peak price does not
+depend on the customers, and the flat and TOU prices are bitwise those of
+the profile's load-factor column whatever the feeder; nor do peak prices
+depend on a power-of-two scale of the group, the off-peak price on a
+power-of-two scale of the window, or the flat and TOU prices on a
+power-of-two scale of every demand.
 Rows priced on request are bitwise the rows of the whole grid. Permuting
 the customers permutes the price grid and leaves the billing unchanged;
 within a group at a peak state the price never falls as demand rises, and
@@ -158,6 +160,29 @@ class TestClosedForms:
             for cat, price in off_peak.items():
                 expected = (1.0 + ds.profit_factor(cat)) * mean_mcp
                 assert price == pytest.approx(expected, rel=REL)
+
+    @settings(PROPERTY, max_examples=50)  # two feeders per example: under 1 s
+    @given(st.data())
+    def test_reference_prices_read_the_profile_alone(self, data):
+        profile = data.draw(profiles())
+        feeders = (data.draw(datasets(profile)), data.draw(datasets(profile)))
+        m = data.draw(st.floats(1.0, 3.0))
+        lf = np.array([s.load_factor for s in profile.states])
+        mcp = np.array([s.mcp for s in profile.states])
+        peak = np.array([s.is_peak for s in profile.states])
+        flat = off_peak_price(lf, mcp, 0.0)
+        for ds in feeders:
+            assert derive_flat(ds).values == {s.index: flat for s in profile.states}
+        peak_value = m * off_peak_price(lf[peak], mcp[peak], 0.0)
+        off_value = off_peak_price(lf[~peak], mcp[~peak], 0.0)
+        if peak_value < off_value:
+            for ds in feeders:
+                with pytest.raises(ValueError, match="fell below"):
+                    derive_tou(ds, m)
+            return
+        tou = {s.index: peak_value if s.is_peak else off_value for s in profile.states}
+        for ds in feeders:
+            assert derive_tou(ds, m).values == tou
 
     @PROPERTY
     @given(
