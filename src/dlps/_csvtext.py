@@ -1,7 +1,10 @@
 """The CSV writer's text kernel (see ``cli``): each cell is a row of 4-byte
 units of UTF-8 padded with 0xFF, a byte no UTF-8 text holds, and a block of
 rows is one matrix of units that one ``translate(None, b"\\xff")`` makes
-text. Float cells take their digits from tables of 4-digit groups."""
+text. Each comma or newline goes into the last byte of the cell before it
+when that byte is padding in every row, else into a unit of its own. Float
+cells take their digits from tables of 4-digit groups, and a group of the
+fraction that is blank in every row is left out."""
 
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import numpy as np
 
 PAD = np.uint32(0xFFFFFFFF)
 _COMMA, _NEWLINE, _MINUS, _POINT = np.frombuffer(b",\xff\xff\xff\n\xff\xff\xff-\xff\xff\xff.\xff\xff\xff", np.uint32)
+_LAST = np.frombuffer(b"\0\0\0\xff", np.uint32)[0]  # a unit's last byte, in either byte order
 _SPECIAL = (",", '"', "\n", "\r")
 _FULL, _LEAD, _LEAD1, _TRAIL, _CENTS = range(0, 50_000, 10_000)  # tables in _digits()
 _POW10 = 10 ** np.arange(17)  # exact as floats too
@@ -87,7 +91,9 @@ def _cells(whole: np.ndarray, fraction: list, negative: np.ndarray, rows, texts)
 
 def num_units(x: np.ndarray) -> np.ndarray:
     """Finite floats as ``"%.10g"`` prints them, from |x|·10**k rounded to
-    10 digits, or by ``"%.10g"`` itself where that is not exact (see ``cli``)."""
+    10 digits, or by ``"%.10g"`` itself where that is not exact (see ``cli``).
+    A fraction group blank in every row is left out, and so is the point
+    when every group is."""
     a = np.abs(x)
     fits = (a >= 1e-4) & (a < 1e10)
     a = np.where(fits, a, 1.0)
@@ -103,10 +109,13 @@ def num_units(x: np.ndarray) -> np.ndarray:
     width, scale = -(-int(k.max(initial=0)) // 4), _POW10[k]
     whole = m // scale
     f = (m - whole * scale) * _POW10[4 * width - k]
-    fraction, rest = [np.where(f > 0, _POINT, PAD)] if width else [], np.zeros(len(f), bool)
+    fraction, rest = [], np.zeros(len(f), bool)
     for g in _groups(f, width):
-        fraction.insert(1, np.take(_digits(), np.where(rest, _FULL, _TRAIL) + g))
-        rest |= g != 0
+        if rest.any() or g.any():  # else the group is blank in every row
+            fraction.insert(0, np.take(_digits(), np.where(rest, _FULL, _TRAIL) + g))
+            rest |= g != 0
+    if fraction:
+        fraction.insert(0, np.where(f > 0, _POINT, PAD))
     rows = np.flatnonzero(other)
     return _cells(whole, fraction, x < 0, rows, ["%.10g" % v for v in x[rows].tolist()])
 
@@ -125,9 +134,22 @@ def cent_units(x: np.ndarray, lo: int, rows: np.ndarray, texts: list[str]) -> np
 
 def lines(cells: list[np.ndarray]) -> str:
     """Rows of text from the units of their cells: the cells of a row
-    joined by commas, and each row ended by a newline."""
+    joined by commas, and each row ended by a newline. A separator goes
+    into the last byte of the cell before it when that byte is padding in
+    every row, and into a unit of its own otherwise."""
     rows, ends = len(cells[0]), [_COMMA] * (len(cells) - 1) + [_NEWLINE]
-    parts = [p for cell, end in zip(cells, ends) for p in (cell, np.broadcast_to(end, (rows, 1)))]
-    text = bytearray(4 * rows * sum(part.shape[1] for part in parts))  # filled in place
-    np.concatenate(parts, axis=1, out=np.frombuffer(text, np.uint32).reshape(rows, -1))
+    parts, spare, width = [], [], 0  # spare: (byte of a row, separator written there)
+    for cell, end in zip(cells, ends):
+        parts.append(cell)
+        width += cell.shape[1]
+        if cell.shape[1] and ((cell[:, -1] & _LAST) == _LAST).all():
+            spare.append((4 * width - 1, end.tobytes()[0]))
+        else:
+            parts.append(np.broadcast_to(end, (rows, 1)))
+            width += 1
+    text = bytearray(4 * rows * width)  # filled in place
+    np.concatenate(parts, axis=1, out=np.frombuffer(text, np.uint32).reshape(rows, width))
+    data = np.frombuffer(text, np.uint8).reshape(rows, 4 * width)
+    for at, byte in spare:
+        data[:, at] = byte
     return text.translate(None, b"\xff").decode("utf-8", "surrogatepass")

@@ -31,7 +31,8 @@ yields the header and then one chunk of text per block, and ``_emit``
 writes each chunk as it comes, so a table's text is held one block at a
 time. The CSV writer makes each block one matrix of 4-byte text units
 padded with 0xFF (see ``_csvtext``). Keys and "str" and "int" cells go
-through ``str`` once per table, quoted as RFC 4180 asks. A numpy kernel
+through ``str`` once per table, quoted as RFC 4180 asks: a column of str
+cells as it is, and a ``Coded`` column by its names alone. A numpy kernel
 prints "num" cells as "%.10g" and "rs" and "pct" cells as "%.2f", from a
 10,000-entry table of 4-digit groups. A "num" cell outside 1e-4 <= |x| <
 1e10, or whose value scaled by 10**k (0 <= k <= 13) lies within 1e-5 of a
@@ -64,7 +65,7 @@ import numpy as np
 
 from ._csvtext import PAD, cent_units, lines, num_units, quoted, text_units
 from .comparator import SignalKind, compare_to_reference, standard_comparison
-from .domain import Category, Dataset, category_demands, select_states, validate_dataset
+from .domain import _BY_CODE, Category, Dataset, category_demands, select_states, validate_dataset
 from .ingest import (
     ParseError,
     _bundled_violations,
@@ -99,7 +100,22 @@ __all__ = ["main", "run_validation", "CheckResult"]
 
 # column kinds: "rs" and "pct" round to 2 decimals for CSV, "num" keeps
 # 10 significant digits, "int" and "str" pass through; None prints empty.
-# Every cell is a scalar: a string, number, bool or None.
+# Every cell is a scalar: a string, number, bool or None. A column's values
+# may be a ``Coded`` column, whose few distinct cells the writers make once.
+@dataclass(frozen=True, eq=False)
+class Coded(Sequence):
+    """A dictionary-coded column: entry j is ``names[codes[j]]``."""
+
+    names: tuple
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, j):
+        return self.names[self.codes[j]]
+
+
 @dataclass(frozen=True)
 class Table:
     """A grid of blocks of rows, written out block after block.
@@ -111,7 +127,7 @@ class Table:
     """
 
     name: str
-    columns: tuple[tuple[str, str, Sequence], ...]  # (key, kind, values)
+    columns: tuple[tuple[str, str, Sequence], ...]  # (key, kind, values or Coded)
     row_keys: int = 0
     block_keys: int = 0
 
@@ -193,12 +209,27 @@ def _interleave(columns: list[Sequence]) -> tuple:
     return tuple(args)
 
 
+def _all_str(values: Sequence) -> bool:
+    """Whether every cell is a str, found by a join that stops at any other."""
+    try:
+        "".join(values)
+    except TypeError:
+        return False
+    return True
+
+
 def _csv_column(
     table: Table, key: str, kind: str, values: Sequence
 ) -> Callable[[int, int], np.ndarray]:
     """A checked column as the text units of its rows lo to hi: text cells
-    and a column holding None ("" for None) made once, float cells by the
-    kernel when their rows are asked for."""
+    and a column holding None ("" for None) made once, a ``Coded`` column's
+    names once, float cells by the kernel when their rows are asked for."""
+    if isinstance(values, Coded):
+        units = _csv_column(table, key, kind, values.names)(0, len(values.names))[values.codes]
+        return lambda lo, hi: units[lo:hi]
+    if kind in ("int", "str") and _all_str(values):
+        units = text_units(quoted(values))
+        return lambda lo, hi: units[lo:hi]
     if not isinstance(values, np.ndarray) and None in values:
         present = [k for k, v in enumerate(values) if v is not None]
         cells = _csv_column(table, key, kind, [values[k] for k in present])(0, len(present))
@@ -253,7 +284,10 @@ def _json_column(table: Table, key: str, kind: str, values: Sequence) -> tuple[s
     through "%r" on their float value, which is ``float.__repr__``, exact
     ints through "%d", which is ``int.__repr__``, strings encoded by json's
     own function, and a column of mixed cells through ``json.dumps`` cell by
-    cell; every cell is a scalar."""
+    cell; every cell is a scalar. A ``Coded`` column's names are written once."""
+    if isinstance(values, Coded):
+        fmt, names = _json_column(table, key, kind, values.names)
+        return fmt, list(map(names.__getitem__, values.codes.tolist()))
     if isinstance(values, np.ndarray):
         return "%r", _finite(table, key, values)
     checked = kind not in ("int", "str")
@@ -399,7 +433,8 @@ def _load_dataset(args) -> Dataset:
 
 def _customer_keys(ds: Dataset) -> tuple[tuple[str, str, Sequence], ...]:
     """The id and category columns that key each customer's row."""
-    return ("id", "str", ds.table.ids), ("category", "str", ds.table.category_values())
+    names = tuple(category.value for category in _BY_CODE)
+    return ("id", "str", ds.table.ids), ("category", "str", Coded(names, ds.table.codes))
 
 
 def _price_state_table(ds: Dataset, state_index: int) -> Table:
@@ -427,6 +462,8 @@ def _price_state_table(ds: Dataset, state_index: int) -> Table:
 def cmd_price(args) -> int:
     ds = _load_dataset(args)
     if args.state is not None:
+        if args.state not in ds.profile.row_of:
+            raise ValueError(f"--state: no state with index {args.state} in the profile")
         tables = [_price_state_table(ds, args.state)]
     else:
         peak = ds.profile.peak_indices
@@ -523,6 +560,10 @@ def cmd_compare(args) -> int:
     ds = _load_dataset(args)
     if not 0.0 <= args.dr_max < 1.0:
         raise ValueError(f"--dr-max must be in [0, 1), got {args.dr_max}")
+    if args.tou_multiplier < 1.0:
+        raise ValueError(
+            f"--tou-multiplier (the TOU peak multiplier) must be >= 1, got {args.tou_multiplier}"
+        )
     dr_event = random_dr_event(ds, args.dr_max, args.seed) if args.dr_max > 0 else None
     comparison = standard_comparison(
         ds,

@@ -166,11 +166,6 @@ class CustomerTable:
         cols = self.columns.get(category)
         return [] if cols is None else list(map(self.ids.__getitem__, cols.tolist()))
 
-    def category_values(self) -> list[str]:
-        """Each customer's category name, in column order."""
-        names = [category.value for category in _BY_CODE]
-        return [names[code] for code in self.codes.tolist()]
-
     def to_customers(self) -> tuple[Customer, ...]:
         categories = map(_BY_CODE.__getitem__, self.codes.tolist())
         return tuple(map(Customer, self.ids, categories, self.base.tolist()))

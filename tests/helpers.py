@@ -360,8 +360,8 @@ def _reference_column(table, key: str, kind: str, values) -> list[str]:
 def flatten_table(table):
     """A grid table as the flat table of the same rows, built row by row:
     each row of each block takes its row's keys, its block's keys and its
-    own cells. Array columns stay arrays of their dtype, and others become
-    lists."""
+    own cells. Array columns stay arrays of their dtype, and others, ``Coded``
+    columns among them, become lists."""
     r, b = table.row_keys, table.row_keys + table.block_keys
     row_keys, block_keys, cells = table.columns[:r], table.columns[r:b], table.columns[b:]
     blocks = len(block_keys[0][2]) if block_keys else 1

@@ -667,10 +667,11 @@ class TestCompare:
         assert code == 1
         assert "peak multiplier" in err
 
-    def test_bad_dr_max_exits_1(self, capsys):
-        code, _, err = run(["compare", "--benchmark", "--dr-max", "1.5"], capsys)
+    @pytest.mark.parametrize("flag, value", [("--dr-max", "1.5"), ("--tou-multiplier", "0.5")])
+    def test_out_of_range_flag_exits_1_naming_it(self, capsys, flag, value):
+        code, _, err = run(["compare", "--benchmark", flag, value], capsys)
         assert code == 1
-        assert "--dr-max" in err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--tou-multiplier", "--dr-max"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN"])

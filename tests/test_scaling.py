@@ -9,9 +9,9 @@ lets the bound be tight where a timing could not be: the slope between a
 ``SLOPE`` line events per added customer. One untraced run first fills the
 caches that a first call fills (the bundled files, compiled patterns).
 
-Only ``compare`` is bounded so far; ``price --all``, ``price --state`` and
-``scenario --preset s3`` still take Python steps per customer (about 1.2 to
-3 line events per added customer)."""
+``compare``, ``price --all`` and ``price --state 22`` are bounded;
+``scenario --preset s3`` still takes Python steps per customer (about 3
+line events per added customer) and is not."""
 
 import collections
 import sys
@@ -25,7 +25,7 @@ from dlps import profile_to_csv
 from helpers import load_bench
 
 SIZES = (2000, 8000)
-SLOPE = 0.2  # line events per added customer; compare reads about 0.13
+SLOPE = 0.2  # line events per added customer; each command reads 0.13 to 0.17
 
 
 def line_events(argv) -> collections.Counter:
@@ -62,10 +62,14 @@ def feeders(tmp_path, bench_ds):
     return out
 
 
-def test_compare_line_events_grow_slowly(tmp_path, feeders):
+@pytest.mark.parametrize("command", [
+    ["compare", "--dr-max", "0.15", "--seed", "1"],
+    ["price", "--all"],
+    ["price", "--state", "22"],
+], ids=["compare", "price-all", "price-state22"])
+def test_line_events_grow_slowly(tmp_path, feeders, command):
     def argv(n):
-        return ["compare", *feeders[n], "--dr-max", "0.15", "--seed", "1",
-                "--out", str(tmp_path / f"out{n}")]
+        return [*command, *feeders[n], "--out", str(tmp_path / f"out{n}")]
 
     assert cli.main(argv(SIZES[0])) == 0  # warm-up, untraced
     small, large = (line_events(argv(n)) for n in SIZES)
@@ -74,6 +78,6 @@ def test_compare_line_events_grow_slowly(tmp_path, feeders):
     growth.subtract(small)
     top = "\n".join(f"  {name}: +{d}" for name, d in growth.most_common(10) if d > 0)
     assert slope <= SLOPE, (
-        f"compare: {slope:.3f} line events per added customer, bound {SLOPE}; "
+        f"{' '.join(command)}: {slope:.3f} line events per added customer, bound {SLOPE}; "
         f"growing most:\n{top}"
     )
