@@ -37,13 +37,13 @@ prints "num" cells as "%.10g" and "rs" and "pct" cells as "%.2f", from a
 10,000-entry table of 4-digit groups. A "num" cell outside 1e-4 <= |x| <
 1e10, or whose value scaled by 10**k (0 <= k <= 13) lies within 1e-5 of a
 rounding tie, is printed by "%.10g" itself: the scaling rounds once, by
-under 1e-6, so the kernel's digits are exact. ``"%.2f"`` can differ from
-the cent rule only near a half-cent tie, on a zero or at 1e9 and over; such
-cells are flagged column by column and printed by ``_round2``. The JSON
-writer fills a ``%`` template per block, with the keys repeated into every
-row: "%r" for exact floats and np.float64 (``float.__repr__``), "%d" for
-exact ints, and otherwise ``json.dumps`` of each cell, in the ``indent=2``
-layout.
+under 1e-6, so the kernel's digits are exact. The kernel can differ from
+the cent rule only near a half-cent tie, on a negative cell that rounds to
+zero or at 1e9 and over; such cells are flagged column by column and
+printed by ``_round2``. The JSON writer fills a ``%`` template per block,
+with the keys repeated into every row: "%r" for exact floats and
+np.float64 (``float.__repr__``), "%d" for exact ints, and otherwise
+``json.dumps`` of each cell, in the ``indent=2`` layout.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _shape(table: Table) -> tuple[int, int]:
 
 _CENT = Decimal("0.01")
 # A cell goes through the Decimal rule when its value in cents lies within
-# _TIE_TOL of a half-cent tie, rounds to zero, or reaches _EXACT_LIMIT.
+# _TIE_TOL of a half-cent tie, is negative but rounds to 0, or reaches _EXACT_LIMIT.
 _TIE_TOL = 1e-3
 _EXACT_LIMIT = 1e9
 
@@ -163,22 +163,22 @@ def _round2(value: float) -> str:
 
 
 def _round2_cells(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """The rows of ``x`` that ``"%.2f"`` may print otherwise than ``_round2``,
-    and their cells as ``_round2`` prints them.
+    """The rows of ``x`` that the cent kernel may print otherwise than
+    ``_round2``, and their cells as ``_round2`` prints them.
 
-    ``"%.2f"`` rounds the binary value of v correctly, while _round2 rounds
-    its shortest repr r, and |v - r| is at most half an ulp of v. The two
-    can only differ when a half-cent tie lies between v and r, or on the
-    sign of a zero. Below _EXACT_LIMIT both that gap and the rounding error
-    of ``x * 100`` are under 2**-16 cents, far inside _TIE_TOL, so every
-    cell where they could differ is flagged, along with the zeros and the
-    very large values.
+    The kernel rounds the binary value of v, as ``"%.2f"`` does, while
+    _round2 rounds its shortest repr r, and |v - r| is at most half an ulp
+    of v. The two can only differ when a half-cent tie lies between v and
+    r, or on a negative cell that rounds to zero, where the kernel prints
+    "-0.00". Below _EXACT_LIMIT both that gap and the rounding error of
+    ``x * 100`` are under 2**-16 cents, far inside _TIE_TOL, so every cell
+    where they could differ is flagged, along with the very large values.
     """
     large = np.abs(x) >= _EXACT_LIMIT
     cents = np.where(large, 0.0, x) * 100.0  # no overflow near the float limit
     risky = (
         (np.abs(cents - np.floor(cents) - 0.5) <= _TIE_TOL)
-        | (np.abs(cents) < 0.5 + _TIE_TOL)
+        | ((cents < 0) & (cents > -0.5 - _TIE_TOL))
         | large
     )
     rows = np.flatnonzero(risky)
@@ -514,21 +514,18 @@ def cmd_scenario(args) -> int:
     base_fin = financial_summary(ds, state, category)
     pert_fin = deltas.financials
 
-    rows = deltas.deltas
     deltas_table = Table("deltas", (
-        ("id", "str", [d.customer_id for d in rows]),
-        ("demand_pct", "pct", [d.demand_pct for d in rows]),
-        ("unit_price_pct", "pct", [d.unit_price_pct for d in rows]),
-        ("billing_pct", "pct", [d.billing_pct for d in rows]),
-        ("demand_contribution_pct", "pct", [d.demand_contribution_pct for d in rows]),
+        ("id", "str", deltas.ids),
+        ("demand_pct", "pct", deltas.demand_pct),
+        ("unit_price_pct", "pct", deltas.unit_price_pct),
+        ("billing_pct", "pct", deltas.billing_pct),
+        ("demand_contribution_pct", "pct", deltas.demand_contribution_pct),
     ))
 
-    base_state = ds.profile.state(state)
-    pert_state = perturbed.profile.state(state)
-    base_demand = float(category_demands(ds, category, base_state).sum())
-    pert_demand = float(category_demands(perturbed, category, pert_state).sum())
+    at = ds.profile.state(state)  # the perturbed dataset shares the profile
+    demands = [float(category_demands(d, category, at).sum()) for d in (ds, perturbed)]
     measures = (
-        ("demand_kw", base_demand, pert_demand),
+        ("demand_kw", *demands),
         ("purchase_cost_rs", base_fin.purchase_cost, pert_fin.purchase_cost),
         ("revenue_rs", base_fin.revenue, pert_fin.revenue),
         ("profit_rs", base_fin.profit, pert_fin.profit),
@@ -737,9 +734,7 @@ def _check_scenario_deltas(deltas, name: str) -> tuple[bool, str]:
     for cid, (up, billing, dc) in expected.items():
         if cid == "others":
             rows = [d for d in deltas.deltas if d.customer_id not in expected]
-            spread = max(r.unit_price_pct for r in rows) - min(
-                r.unit_price_pct for r in rows
-            )
+            spread = max(r.unit_price_pct for r in rows) - min(r.unit_price_pct for r in rows)
             if spread > EXACT_TOL:
                 ok = False
             row = rows[0]

@@ -21,18 +21,19 @@ Everything here works on one demand grid, ``D = lf * base * M`` with one
 row per state (profile order) and one column per customer (dataset order),
 from ``domain.demand_grid``, where ``M`` is the event compiled by
 ``scenario.event_multipliers`` (1 outside the event's scope). A signal
-becomes a price matrix ``P`` of the same layout (one column for the
-per-state kinds), and each category of the customer table is billed at
-each state by the sum of ``P * D`` over its columns, marked up when asked;
-a category with no configuration raises KeyError. Every event-free demand
+is a price matrix ``P`` of the same layout: one column for the per-state
+kinds, and the schedule's ``prices`` for the proposed kind, whose schedule
+must be of the dataset billed. Each category is billed at each state by
+the sum of ``P * D`` over its columns, marked up when asked; a category
+with no configuration raises KeyError. Every event-free demand
 is ``lf * base``, so weighting by ``lf`` is weighting by demand: the flat
 and TOU prices read the profile alone, never the customers.
 
 ``compare_signals`` compiles the event and builds ``D`` once for all its
 signals, and ``bill_under_signal`` is its one-signal case.
 ``standard_comparison`` takes ``D`` and the proposed prices ``P`` from one
-``pricing.price_grid`` call instead, and bills the same numbers, bit for
-bit.
+``pricing.price_grid`` call instead, and bills all four signals through
+the same ``_bill``, so it bills the same numbers, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class TariffSignal:
     """One price signal over the day.
 
     ``values`` maps state index to unit price for flat/rtp/tou kinds; the
-    proposed kind delegates to its per-customer ``schedule`` instead.
+    proposed kind bills its ``schedule``'s price matrix instead.
     """
 
     kind: SignalKind
@@ -170,34 +171,6 @@ class SignalBilling:
         )
 
 
-def _signal_prices(ds: Dataset, signal: TariffSignal) -> np.ndarray:
-    """Unit prices per (state, customer) on the demand grid's layout.
-
-    Per-state kinds give one column that broadcasts over customers; the
-    proposed kind reads every billed customer's price from its schedule.
-    """
-    states = ds.profile.states
-    if signal.kind is not SignalKind.PROPOSED:
-        assert signal.values is not None
-        try:
-            return np.array([[signal.values[s.index]] for s in states], dtype=float)
-        except KeyError as exc:
-            raise KeyError(
-                f"{signal.kind.value} signal has no price for state {exc.args[0]}"
-            ) from None
-    assert signal.schedule is not None
-    price = signal.schedule.price  # raises KeyError naming the missing cell
-    prices = np.zeros((len(states), len(ds.table)))
-    for cols in ds.table.columns.values():
-        customers = [ds.customers[j] for j in cols.tolist()]
-        for r, state in enumerate(states):
-            if state.is_peak:
-                prices[r, cols] = [price(c, state) for c in customers]
-            else:
-                prices[r, cols] = price(customers[0], state)
-    return prices
-
-
 def bill_under_signal(
     ds: Dataset,
     signal: TariffSignal,
@@ -217,20 +190,34 @@ def bill_under_signal(
 
 
 def _bill(
-    ds: Dataset, kind: SignalKind, prices: np.ndarray, demand: np.ndarray, with_profit: bool
+    ds: Dataset, signal: TariffSignal, demand: np.ndarray, with_profit: bool
 ) -> SignalBilling:
     """Billing of every category of ``ds.table.columns`` at every state, from
-    a price matrix and the demand grid it bills. Raises KeyError for a
-    category with no configuration."""
+    the signal's price matrix and the demand grid it bills. Raises KeyError
+    for a state the signal does not price or a category with no
+    configuration, and ValueError for a schedule of other customers or states.
+    """
+    states = ds.profile.states
+    if signal.kind is SignalKind.PROPOSED:
+        if (signal.schedule.table, signal.schedule.profile.states) != (ds.table, ds.profile.states):
+            raise ValueError("proposed signal's schedule was built for another dataset")
+        prices = signal.schedule.prices
+    else:
+        try:
+            prices = np.array([[signal.values[s.index]] for s in states], dtype=float)
+        except KeyError as exc:
+            raise KeyError(
+                f"{signal.kind.value} signal has no price for state {exc.args[0]}"
+            ) from None
     spend = prices * demand
     out: dict[tuple[Category, int], float] = {}
     for category, cols in ds.table.columns.items():
         kp = ds.profit_factor(category)
-        markup = 1.0 + kp if (with_profit and kind is not SignalKind.PROPOSED) else 1.0
+        markup = 1.0 + kp if (with_profit and signal.kind is not SignalKind.PROPOSED) else 1.0
         cells = spend[:, cols].sum(axis=1).tolist()
-        for state, cell in zip(ds.profile.states, cells):
+        for state, cell in zip(states, cells):
             out[(category, state.index)] = markup * cell
-    return SignalBilling(kind=kind, with_profit=with_profit, by_category_state=out)
+    return SignalBilling(kind=signal.kind, with_profit=with_profit, by_category_state=out)
 
 
 @dataclass(frozen=True)
@@ -270,9 +257,7 @@ def compare_signals(
         seen.add(signal.kind)
     multipliers = None if dr_event is None else event_multipliers(dr_event, ds)
     demand = demand_grid(ds, multipliers)
-    return BillingComparison(billings=tuple(
-        _bill(ds, s.kind, _signal_prices(ds, s), demand, with_profit) for s in signals
-    ))
+    return BillingComparison(billings=tuple(_bill(ds, s, demand, with_profit) for s in signals))
 
 
 def compare_to_reference(
@@ -305,7 +290,7 @@ def event_schedule(ds: Dataset, dr_event: Scenario | None) -> PriceSchedule:
     respond to the event while windows outside its scope keep their base
     demands. It is ``pricing.build_schedule(ds, dr_event)``, kept for
     callers that want the proposed signal on its own; ``standard_comparison``
-    reads the same prices from the price grid without building a schedule.
+    wraps the same prices from its one price grid in a schedule.
     """
     return build_schedule(ds, dr_event)
 
@@ -323,12 +308,12 @@ def standard_comparison(
     from the demands actually in effect, since it responds to them. The
     result equals ``compare_signals`` over ``derive_flat``, ``rtp_signal``,
     ``derive_tou`` and ``proposed_signal(event_schedule(ds, dr_event))``,
-    bit for bit. ``D`` and the proposed prices come from one
+    bit for bit. ``D`` and the proposed schedule's prices come from one
     ``price_grid(ds, dr_event)`` call, which raises KeyError for a category
     with no configuration; no other demand grid is built.
     """
-    demand, proposed, _ = price_grid(ds, dr_event)
-    signals = (derive_flat(ds), rtp_signal(ds.profile), derive_tou(ds, tou_peak_multiplier))
-    billings = [_bill(ds, s.kind, _signal_prices(ds, s), demand, with_profit) for s in signals]
-    billings.append(_bill(ds, SignalKind.PROPOSED, proposed, demand, with_profit))
-    return BillingComparison(billings=tuple(billings))
+    demand, prices, off_peak = price_grid(ds, dr_event)
+    schedule = PriceSchedule(ds.table, ds.profile, prices, off_peak)
+    signals = (derive_flat(ds), rtp_signal(ds.profile), derive_tou(ds, tou_peak_multiplier),
+               proposed_signal(schedule))
+    return BillingComparison(billings=tuple(_bill(ds, s, demand, with_profit) for s in signals))

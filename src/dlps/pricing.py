@@ -24,7 +24,7 @@ from its scaled base demands. ``on_peak_prices`` runs once per (category,
 requested peak state) and ``off_peak_price`` once per category window, on
 the values the per-customer formulas above would see, so prices are
 bitwise those of pricing each group from its customers one by one.
-``build_schedule`` keys the peak rows by (customer id, state index).
+``build_schedule`` keeps the whole price matrix as a ``PriceSchedule``.
 
 Every sum is taken on its values times ``2**-e``, ``e`` the binary exponent
 of the largest value (for rows not built yet, of a bound on it), so no sum
@@ -37,11 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .domain import Category, Customer, Dataset, SystemState, select_states
+from .domain import Category, Customer, CustomerTable, Dataset, DayProfile, SystemState
+from .domain import select_states
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -180,19 +182,36 @@ def off_peak_price(demands, mcps, profit_factor: float) -> float:
     return (1.0 + profit_factor) * float(np.dot(totals, m)) / float(totals.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSchedule:
-    """Complete day-ahead price schedule for a dataset.
+    """Complete day-ahead price schedule for a dataset's table and profile.
 
-    ``on_peak`` maps (customer id, state index) to the customer's unit
-    price at that peak state; ``off_peak`` maps each category to its single
-    off-peak window price. ``provenance`` records the inputs the schedule
-    was built from. Treat instances as immutable.
+    ``prices`` is ``price_grid``'s read-only (state x customer) matrix over
+    ``profile`` and ``table``; ``off_peak`` maps each category to its window
+    price, and ``provenance`` records the inputs. ``on_peak``, a dict from
+    (customer id, state index) to the price at that peak state, is built
+    from the peak rows on first read. Treat instances as immutable.
     """
 
-    on_peak: Mapping[tuple[str, int], float]
+    table: CustomerTable
+    profile: DayProfile
+    prices: np.ndarray
     off_peak: Mapping[Category, float]
     provenance: str = ""
+
+    def __post_init__(self) -> None:
+        self.prices.setflags(write=False)
+
+    @cached_property
+    def on_peak(self) -> dict[tuple[str, int], float]:
+        """Peak prices by category, then state, then column."""
+        peak = [(r, s.index) for r, s in enumerate(self.profile.states) if s.is_peak]
+        out: dict[tuple[str, int], float] = {}
+        for cols in self.table.columns.values():
+            ids = [self.table.ids[j] for j in cols.tolist()]
+            for r, index in peak:
+                out.update(zip([(cid, index) for cid in ids], self.prices[r, cols].tolist()))
+        return out
 
     def price(self, customer: Customer, state: SystemState) -> float:
         """Unit price (Rs/kWh) this customer pays at this state."""
@@ -308,20 +327,13 @@ def price_grid(
 
 
 def build_schedule(ds: Dataset, dr_event: Scenario | None = None) -> PriceSchedule:
-    """Price every (customer, peak state) pair and each category's off-peak window.
+    """Price every customer at every state of the day.
 
-    The prices are the peak rows of ``price_grid(ds, dr_event)``, keyed by
-    (customer id, state index). Raises DegenerateGroupError or
-    DegenerateWindowError with the offending category and state named when
-    a group cannot be priced.
+    The schedule holds ``price_grid(ds, dr_event)``'s price matrix and
+    window prices. Raises DegenerateGroupError or DegenerateWindowError with
+    the offending category and state named when a group cannot be priced.
     """
-    peak = ds.profile.peak_indices
-    _, prices, off_peak = price_grid(ds, dr_event, peak)
-    on_peak: dict[tuple[str, int], float] = {}
-    for cols in ds.table.columns.values():
-        ids = [ds.table.ids[j] for j in cols.tolist()]
-        for k, index in enumerate(peak):
-            on_peak.update(zip([(cid, index) for cid in ids], prices[k, cols].tolist()))
+    _, prices, off_peak = price_grid(ds, dr_event)
     factors = ", ".join(
         f"{cfg.category.value}={cfg.profit_factor}" for cfg in ds.categories
     )
@@ -331,7 +343,7 @@ def build_schedule(ds: Dataset, dr_event: Scenario | None = None) -> PriceSchedu
     )
     if dr_event is not None:
         provenance += f"; event={dr_event.label}"
-    return PriceSchedule(on_peak=on_peak, off_peak=off_peak, provenance=provenance)
+    return PriceSchedule(ds.table, ds.profile, prices, off_peak, provenance)
 
 
 def verify_ebe(

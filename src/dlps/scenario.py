@@ -107,20 +107,33 @@ class CustomerDelta:
     demand_contribution_pct: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioDeltas:
-    """Per-customer deltas for one category at one peak state."""
+    """Per-customer deltas for one category at one peak state, as columns.
+
+    Entry j of each percent array is customer ``ids[j]``'s change, in
+    dataset order. ``deltas``, one ``CustomerDelta`` per customer, is built
+    from the columns on first read. Treat instances as immutable.
+    """
 
     state: int
     category: Category
-    deltas: tuple[CustomerDelta, ...]
+    ids: tuple[str, ...]
+    demand_pct: np.ndarray
+    unit_price_pct: np.ndarray
+    billing_pct: np.ndarray
+    demand_contribution_pct: np.ndarray
     financials: FinancialSummary
 
+    @cached_property
+    def deltas(self) -> tuple[CustomerDelta, ...]:
+        cols = self.demand_pct, self.unit_price_pct, self.billing_pct, self.demand_contribution_pct
+        return tuple(map(CustomerDelta, self.ids, *(c.tolist() for c in cols)))
+
     def delta_for(self, customer_id: str) -> CustomerDelta:
-        for d in self.deltas:
-            if d.customer_id == customer_id:
-                return d
-        raise KeyError(f"no delta row for customer {customer_id}")
+        if customer_id not in self.ids:
+            raise KeyError(f"no delta row for customer {customer_id}")
+        return self.deltas[self.ids.index(customer_id)]
 
 
 def analysis_state(profile: DayProfile) -> int:
@@ -173,7 +186,7 @@ def event_multipliers(sc: Scenario, ds: Dataset) -> np.ndarray:
         for t, fractions in zip(event.states, event.draws.T):
             place(t, slice(None), fractions)
     else:
-        column_of = {cid: j for j, cid in enumerate(ids)}
+        column_of = dict(zip(ids, range(len(ids))))
         unknown = sorted(set(event) - column_of.keys())
         if unknown:
             raise ValueError(f"scenario {sc.label!r} perturbs unknown customer ids: {unknown}")
@@ -256,20 +269,13 @@ def scenario_deltas(
     dc_base = d_base / d_base.sum()
     dc_pert = d_pert / d_pert.sum()
 
-    def pct(new: np.ndarray, old: np.ndarray) -> list[float]:
-        return (100.0 * (new - old) / old).tolist()
-
-    columns = (
-        pct(d_pert, d_base),
-        pct(prices_pert, prices_base),
-        pct(prices_pert * d_pert, prices_base * d_base),
-        pct(dc_pert, dc_base),
+    pairs = (
+        (d_pert, d_base), (prices_pert, prices_base),
+        (prices_pert * d_pert, prices_base * d_base), (dc_pert, dc_base),
     )
-    deltas = tuple(map(CustomerDelta, ids, *columns))
+    columns = [100.0 * (new - old) / old for new, old in pairs]
     financials = financial_summary(perturbed, state_index, category)
-    return ScenarioDeltas(
-        state=state_index, category=category, deltas=deltas, financials=financials
-    )
+    return ScenarioDeltas(state_index, category, tuple(ids), *columns, financials)
 
 
 def financial_summary(

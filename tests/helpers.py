@@ -42,7 +42,7 @@ from dlps import (
 from dlps.cli import Table
 from dlps.domain import _BY_CODE, _PREFIXED_ID
 from dlps.ingest import CUSTOMERS_HEADER
-from dlps.scenario import CustomerDelta, ScenarioDeltas, _EventDraws
+from dlps.scenario import ScenarioDeltas, _EventDraws
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -265,20 +265,18 @@ def generator_scenario_deltas(base: Dataset, perturbed: Dataset, state_index: in
     def pct(new: float, old: float) -> float:
         return 100.0 * (new - old) / old
 
-    deltas = tuple(
-        CustomerDelta(
-            customer_id=cid,
-            demand_pct=pct(d_pert[i], d_base[i]),
-            unit_price_pct=pct(prices_pert[i], prices_base[i]),
-            billing_pct=pct(prices_pert[i] * d_pert[i], prices_base[i] * d_base[i]),
-            demand_contribution_pct=pct(dc_pert[i], dc_base[i]),
+    rows = [
+        (
+            pct(d_pert[i], d_base[i]),
+            pct(prices_pert[i], prices_base[i]),
+            pct(prices_pert[i] * d_pert[i], prices_base[i] * d_base[i]),
+            pct(dc_pert[i], dc_base[i]),
         )
-        for i, cid in enumerate(ids)
-    )
+        for i in range(len(ids))
+    ]
+    columns = [np.array(column, dtype=float) for column in zip(*rows)]
     financials = financial_summary(perturbed, state_index, category)
-    return ScenarioDeltas(
-        state=state_index, category=category, deltas=deltas, financials=financials
-    )
+    return ScenarioDeltas(state_index, category, tuple(ids), *columns, financials)
 
 
 def loop_prefix_mismatches(table: CustomerTable) -> dict[int, str]:

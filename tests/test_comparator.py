@@ -16,7 +16,6 @@ from dlps import (
     BillingComparison,
     Category,
     CustomerTable,
-    PriceSchedule,
     Scenario,
     SignalBilling,
     SignalKind,
@@ -372,19 +371,18 @@ class TestGridAgainstLoopOracle:
         assert event.perturbations == loop_dr_event(bench_ds, 0.15, seed, symmetric)
 
     def test_missing_schedule_price_names_the_cell(self, bench_ds):
-        schedule = build_schedule(bench_ds)
-        on_peak = dict(schedule.on_peak)
-        del on_peak[("I8", 22)]
-        holed = PriceSchedule(on_peak=on_peak, off_peak=schedule.off_peak)
+        others = [c for c in bench_ds.customers if c.id != "I8"]
+        ds = dataclasses.replace(bench_ds, table=CustomerTable.from_customers(others))
+        (i8,) = [c for c in bench_ds.customers if c.id == "I8"]
         with pytest.raises(KeyError, match="no on-peak price for I8 at state 22"):
-            bill_under_signal(bench_ds, proposed_signal(holed))
+            build_schedule(ds).price(i8, bench_ds.profile.state(22))
 
     def test_missing_off_peak_price_names_the_category(self, bench_ds):
-        schedule = build_schedule(bench_ds)
-        off_peak = {k: v for k, v in schedule.off_peak.items() if k is not Category.COMMERCIAL}
-        holed = PriceSchedule(on_peak=schedule.on_peak, off_peak=off_peak)
+        others = [c for c in bench_ds.customers if c.category is not Category.COMMERCIAL]
+        ds = dataclasses.replace(bench_ds, table=CustomerTable.from_customers(others))
+        commercial = bench_ds.customers_in(Category.COMMERCIAL)[0]
         with pytest.raises(KeyError, match="off-peak price for category commercial"):
-            bill_under_signal(bench_ds, proposed_signal(holed))
+            build_schedule(ds).price(commercial, bench_ds.profile.off_peak_states[0])
 
     def test_missing_signal_state_names_the_state(self, bench_ds):
         values = {s.index: s.mcp for s in bench_ds.profile.states if s.index != 7}
@@ -401,6 +399,18 @@ class TestSingleCompile:
         order = np.random.default_rng(seed).permutation(len(ds.customers))
         table = CustomerTable.from_customers(ds.customers[i] for i in order)
         return dataclasses.replace(ds, table=table)
+
+    def test_schedule_of_a_shuffled_copy_is_refused(self, bench_ds):
+        schedule = build_schedule(self.shuffled(bench_ds))
+        with pytest.raises(ValueError, match="schedule was built for another dataset"):
+            bill_under_signal(bench_ds, proposed_signal(schedule))
+
+    def test_billing_a_schedule_builds_no_customer_or_peak_dict(self, bench_ds):
+        ds = dataclasses.replace(bench_ds, label="fresh")
+        schedule = build_schedule(ds)
+        bill_under_signal(ds, proposed_signal(schedule))
+        assert "customers" not in ds.__dict__
+        assert "on_peak" not in schedule.__dict__
 
     @pytest.mark.parametrize("tou", [1.0, 1.5])
     @pytest.mark.parametrize("with_profit", [True, False], ids=["profit", "no-profit"])

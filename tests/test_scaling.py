@@ -9,9 +9,9 @@ lets the bound be tight where a timing could not be: the slope between a
 ``SLOPE`` line events per added customer. One untraced run first fills the
 caches that a first call fills (the bundled files, compiled patterns).
 
-``compare``, ``price --all`` and ``price --state 22`` are bounded;
-``scenario --preset s3`` still takes Python steps per customer (about 3
-line events per added customer) and is not."""
+Every command is bounded: ``compare``, ``price --all``, ``price --state
+22`` and ``scenario`` with the explicit preset s3 and the random preset
+s4."""
 
 import collections
 import sys
@@ -25,7 +25,7 @@ from dlps import profile_to_csv
 from helpers import load_bench
 
 SIZES = (2000, 8000)
-SLOPE = 0.2  # line events per added customer; each command reads 0.13 to 0.17
+SLOPE = 0.2  # line events per added customer; each command reads 0.12 to 0.17
 
 
 def line_events(argv) -> collections.Counter:
@@ -66,7 +66,9 @@ def feeders(tmp_path, bench_ds):
     ["compare", "--dr-max", "0.15", "--seed", "1"],
     ["price", "--all"],
     ["price", "--state", "22"],
-], ids=["compare", "price-all", "price-state22"])
+    ["scenario", "--preset", "s3"],
+    ["scenario", "--preset", "s4", "--seed", "1"],
+], ids=["compare", "price-all", "price-state22", "scenario-s3", "scenario-s4"])
 def test_line_events_grow_slowly(tmp_path, feeders, command):
     def argv(n):
         return [*command, *feeders[n], "--out", str(tmp_path / f"out{n}")]
