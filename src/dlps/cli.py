@@ -554,13 +554,14 @@ def cmd_scenario(args) -> int:
 # compare
 
 def cmd_compare(args) -> int:
-    ds = _load_dataset(args)
+    # the flags need no input, so a bad one is reported before any is read
     if not 0.0 <= args.dr_max < 1.0:
         raise ValueError(f"--dr-max must be in [0, 1), got {args.dr_max}")
     if args.tou_multiplier < 1.0:
         raise ValueError(
             f"--tou-multiplier (the TOU peak multiplier) must be >= 1, got {args.tou_multiplier}"
         )
+    ds = _load_dataset(args)
     dr_event = random_dr_event(ds, args.dr_max, args.seed) if args.dr_max > 0 else None
     comparison = standard_comparison(
         ds,

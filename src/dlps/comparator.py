@@ -1,39 +1,37 @@
 """Billing comparison across tariff signals: flat, RTP, TOU, and demand-linked.
 
 The reference signals are derived from the same day the demand-linked
-schedule prices, so comparisons are apples-to-apples:
-
-* flat: one day-long price, the load-weighted mean market price, which
-  makes flat billing revenue-neutral against RTP billing over the day;
-* rtp: the market clearing price, state by state;
-* tou: one load-weighted mean price per window (peak, off-peak), with an
-  optional multiplier stressing the peak block;
-* proposed: the demand-linked schedule, whose prices already embed the
-  assured margin.
-
-Billing under flat/rtp/tou optionally marks revenue up by each category's
-profit factor so the retailer take matches across columns. A
+schedule prices, so comparisons are apples-to-apples: flat is the
+load-weighted mean market price over the day, which makes flat billing
+revenue-neutral against RTP; RTP is the market price state by state; TOU
+is one load-weighted mean per window (peak, off-peak), its peak block
+optionally stressed by a multiplier; the proposed signal is the
+demand-linked schedule, whose prices embed the assured margin. A
 demand-response event (a scenario scoped to some window) reshapes demand
 inside that window only; reference signals stay as derived from the base
-day, which mirrors how a utility would publish prices before the event.
+day, as a utility would publish them before the event. Every event-free
+demand is ``lf * base``, so weighting by ``lf`` is weighting by demand:
+the flat and TOU prices read the profile alone.
 
-Everything here works on one demand grid, ``D = lf * base * M`` with one
-row per state (profile order) and one column per customer (dataset order),
-from ``domain.demand_grid``, where ``M`` is the event compiled by
-``scenario.event_multipliers`` (1 outside the event's scope). A signal
-is a price matrix ``P`` of the same layout: one column for the per-state
-kinds, and the schedule's ``prices`` for the proposed kind, whose schedule
-must be of the dataset billed. Each category is billed at each state by
-the sum of ``P * D`` over its columns, marked up when asked; a category
-with no configuration raises KeyError. Every event-free demand
-is ``lf * base``, so weighting by ``lf`` is weighting by demand: the flat
-and TOU prices read the profile alone, never the customers.
+Bills come from the demand grid ``D = lf * base * M`` (state x customer,
+``M`` the compiled event), summed once per comparison into ``T``, each
+category's total demand at each state. A flat, RTP or TOU cell is
+``p_s * T[s, c]``, marked up by the category's profit factor when asked so
+the retailer take matches across columns. A proposed off-peak cell is the
+window price times ``T[s, c]``, and a proposed peak cell the sum of
+``p * d`` over the category's columns, so its balance stays a check; its
+schedule must be priced for the customers, profile states and category
+configurations billed.
 
-``compare_signals`` compiles the event and builds ``D`` once for all its
-signals, and ``bill_under_signal`` is its one-signal case.
-``standard_comparison`` takes ``D`` and the proposed prices ``P`` from one
-``pricing.price_grid`` call instead, and bills all four signals through
-the same ``_bill``, so it bills the same numbers, bit for bit.
+Each sum is numpy's pairwise sum of one contiguous row of non-negative
+terms, so a bill of a category of n customers is within
+``gamma(k) = k*u / (1 - k*u)`` of its formula's exact value on the float
+demands and prices, relative, with ``u = 2**-53`` and
+``k = ceil(log2 n) + 19``: ``ceil(log2 n)`` pairwise levels, at most 17
+more additions in numpy's leaves of up to 128 terms, and two products.
+``standard_comparison`` takes ``D`` and the proposed prices from one
+``pricing.price_grid`` call, ``compare_signals`` takes ``D`` from
+``domain.demand_grid``, and both bill through ``_compare``.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ class TariffSignal:
     """One price signal over the day.
 
     ``values`` maps state index to unit price for flat/rtp/tou kinds; the
-    proposed kind bills its ``schedule``'s price matrix instead.
+    proposed kind bills its ``schedule``'s prices instead.
     """
 
     kind: SignalKind
@@ -97,9 +95,7 @@ class TariffSignal:
 
 def rtp_signal(profile: DayProfile) -> TariffSignal:
     """Real-time price signal: the market clearing price at each state."""
-    return TariffSignal(
-        kind=SignalKind.RTP, values={s.index: s.mcp for s in profile.states}
-    )
+    return TariffSignal(kind=SignalKind.RTP, values={s.index: s.mcp for s in profile.states})
 
 
 def derive_flat(ds: Dataset) -> TariffSignal:
@@ -112,9 +108,7 @@ def derive_flat(ds: Dataset) -> TariffSignal:
     mcps = np.array([s.mcp for s in ds.profile.states], dtype=float)
     # at zero margin the off-peak rule is the load-weighted mean market price
     value = off_peak_price(lf, mcps, 0.0)
-    return TariffSignal(
-        kind=SignalKind.FLAT, values={s.index: value for s in ds.profile.states}
-    )
+    return TariffSignal(kind=SignalKind.FLAT, values={s.index: value for s in ds.profile.states})
 
 
 def derive_tou(ds: Dataset, peak_multiplier: float = 1.0) -> TariffSignal:
@@ -177,47 +171,68 @@ def bill_under_signal(
     with_profit: bool = True,
     dr_event: Scenario | None = None,
 ) -> SignalBilling:
-    """Bill every (category, state) cell of the day under one signal.
-
-    Reference signals (flat/rtp/tou) are marked up by each category's
-    profit factor when ``with_profit`` is set, putting them on the same
-    retailer-revenue footing as the proposed signal, which embeds its
-    margin already. A demand-response event scales each customer's demand
-    inside the event's scope before billing. It is the one column of
-    ``compare_signals(ds, [signal], with_profit, dr_event)``.
-    """
+    """Bill every (category, state) cell of the day under one signal, the
+    reference kinds marked up by each category's profit factor when
+    ``with_profit`` is set, and each demand shaped by the event when one is
+    given: the one column of ``compare_signals(ds, [signal], with_profit,
+    dr_event)``."""
     return compare_signals(ds, [signal], with_profit, dr_event).billings[0]
 
 
-def _bill(
-    ds: Dataset, signal: TariffSignal, demand: np.ndarray, with_profit: bool
-) -> SignalBilling:
-    """Billing of every category of ``ds.table.columns`` at every state, from
-    the signal's price matrix and the demand grid it bills. Raises KeyError
-    for a state the signal does not price or a category with no
-    configuration, and ValueError for a schedule of other customers or states.
-    """
+def _bill(ds: Dataset, signal: TariffSignal, demand: np.ndarray, totals: np.ndarray,
+          profit: np.ndarray, with_profit: bool) -> SignalBilling:
+    """Billing of each category of ``ds.table.columns`` at each state, from the
+    demand grid, its (state x category) ``totals`` and the ``profit`` factors.
+    Raises KeyError for a state the signal does not price and ValueError for
+    a schedule priced for another dataset."""
     states = ds.profile.states
+    columns = ds.table.columns
     if signal.kind is SignalKind.PROPOSED:
-        if (signal.schedule.table, signal.schedule.profile.states) != (ds.table, ds.profile.states):
-            raise ValueError("proposed signal's schedule was built for another dataset")
-        prices = signal.schedule.prices
+        schedule = signal.schedule
+        for part, mine, theirs in (("customers", schedule.table, ds.table),
+                                   ("profile states", schedule.profile.states, states),
+                                   ("category configurations", schedule.categories, ds.categories)):
+            if mine is not theirs and mine != theirs:
+                raise ValueError(
+                    f"proposed signal's schedule was built for another dataset: other {part}")
+        cells = totals * np.array([schedule.off_peak[c] for c in columns])
+        for r, state in enumerate(states):
+            if state.is_peak:
+                for k, cols in enumerate(columns.values()):
+                    cells[r, k] = (schedule.prices[r, cols] * demand[r, cols]).sum()
     else:
         try:
-            prices = np.array([[signal.values[s.index]] for s in states], dtype=float)
+            prices = np.array([signal.values[s.index] for s in states], dtype=float)
         except KeyError as exc:
             raise KeyError(
-                f"{signal.kind.value} signal has no price for state {exc.args[0]}"
-            ) from None
-    spend = prices * demand
+                f"{signal.kind.value} signal has no price for state {exc.args[0]}") from None
+        cells = (1.0 + profit if with_profit else 1.0) * (prices[:, None] * totals)
     out: dict[tuple[Category, int], float] = {}
-    for category, cols in ds.table.columns.items():
-        kp = ds.profit_factor(category)
-        markup = 1.0 + kp if (with_profit and signal.kind is not SignalKind.PROPOSED) else 1.0
-        cells = spend[:, cols].sum(axis=1).tolist()
-        for state, cell in zip(states, cells):
-            out[(category, state.index)] = markup * cell
+    for k, category in enumerate(columns):
+        out.update(zip([(category, s.index) for s in states], cells[:, k].tolist()))
     return SignalBilling(kind=signal.kind, with_profit=with_profit, by_category_state=out)
+
+
+def _compare(ds: Dataset, signals: Iterable[TariffSignal], demand: np.ndarray,
+             with_profit: bool) -> BillingComparison:
+    """Bill the demand grid under each signal, from one sum of it into
+    (state x category) totals. Raises KeyError for a category with no
+    configuration."""
+    signals = tuple(signals)
+    if not signals:
+        raise ValueError("nothing to compare, no signals given")
+    kinds = [s.kind for s in signals]
+    for kind in kinds:
+        if kinds.count(kind) > 1:
+            raise ValueError(f"duplicate signal kind {kind.value}")
+    columns = ds.table.columns
+    profit = np.array([ds.profit_factor(c) for c in columns], dtype=float)
+    totals = np.empty((len(demand), len(columns)))
+    for k, cols in enumerate(columns.values()):
+        # a C-ordered copy sums each row pairwise; demand[:, cols] would not
+        totals[:, k] = np.take(demand, cols, axis=1).sum(axis=1)
+    return BillingComparison(tuple(_bill(ds, s, demand, totals, profit, with_profit)
+                                   for s in signals))
 
 
 @dataclass(frozen=True)
@@ -243,21 +258,10 @@ def compare_signals(
     with_profit: bool = True,
     dr_event: Scenario | None = None,
 ) -> BillingComparison:
-    """Bill the same day under each signal; one column per signal kind.
-
-    The event is compiled, and the demand grid built, once for every signal.
-    """
-    signals = tuple(signals)
-    if not signals:
-        raise ValueError("nothing to compare, no signals given")
-    seen: set[SignalKind] = set()
-    for signal in signals:
-        if signal.kind in seen:
-            raise ValueError(f"duplicate signal kind {signal.kind.value}")
-        seen.add(signal.kind)
+    """Bill the same day under each signal; one column per signal kind. The
+    event is compiled, and the demand grid built, once for every signal."""
     multipliers = None if dr_event is None else event_multipliers(dr_event, ds)
-    demand = demand_grid(ds, multipliers)
-    return BillingComparison(billings=tuple(_bill(ds, s, demand, with_profit) for s in signals))
+    return _compare(ds, signals, demand_grid(ds, multipliers), with_profit)
 
 
 def compare_to_reference(
@@ -288,9 +292,7 @@ def event_schedule(ds: Dataset, dr_event: Scenario | None) -> PriceSchedule:
 
     Prices each group from the demands actually in effect, so peak prices
     respond to the event while windows outside its scope keep their base
-    demands. It is ``pricing.build_schedule(ds, dr_event)``, kept for
-    callers that want the proposed signal on its own; ``standard_comparison``
-    wraps the same prices from its one price grid in a schedule.
+    demands. It is ``pricing.build_schedule(ds, dr_event)``.
     """
     return build_schedule(ds, dr_event)
 
@@ -305,15 +307,13 @@ def standard_comparison(
 
     Reference signals derive from the base day, the way a utility would
     publish them ahead of any event; the demand-linked schedule is built
-    from the demands actually in effect, since it responds to them. The
-    result equals ``compare_signals`` over ``derive_flat``, ``rtp_signal``,
-    ``derive_tou`` and ``proposed_signal(event_schedule(ds, dr_event))``,
-    bit for bit. ``D`` and the proposed schedule's prices come from one
-    ``price_grid(ds, dr_event)`` call, which raises KeyError for a category
-    with no configuration; no other demand grid is built.
+    from the demands actually in effect, since it responds to them. ``D``
+    and the proposed prices come from one ``price_grid(ds, dr_event)`` call,
+    so the result equals ``compare_signals`` over the four signals built one
+    by one, bit for bit, with no other demand grid built.
     """
     demand, prices, off_peak = price_grid(ds, dr_event)
-    schedule = PriceSchedule(ds.table, ds.profile, prices, off_peak)
+    schedule = PriceSchedule(ds.table, ds.profile, ds.categories, prices, off_peak)
     signals = (derive_flat(ds), rtp_signal(ds.profile), derive_tou(ds, tou_peak_multiplier),
                proposed_signal(schedule))
-    return BillingComparison(billings=tuple(_bill(ds, s, demand, with_profit) for s in signals))
+    return _compare(ds, signals, demand, with_profit)

@@ -42,8 +42,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .domain import Category, Customer, CustomerTable, Dataset, DayProfile, SystemState
-from .domain import select_states
+from .domain import Category, CategoryConfig, Customer, CustomerTable, Dataset, DayProfile
+from .domain import SystemState, select_states
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -187,14 +187,16 @@ class PriceSchedule:
     """Complete day-ahead price schedule for a dataset's table and profile.
 
     ``prices`` is ``price_grid``'s read-only (state x customer) matrix over
-    ``profile`` and ``table``; ``off_peak`` maps each category to its window
-    price, and ``provenance`` records the inputs. ``on_peak``, a dict from
+    ``profile`` and ``table``, priced under the ``categories``'
+    configurations; ``off_peak`` maps each category to its window price, and
+    ``provenance`` records the inputs. ``on_peak``, a dict from
     (customer id, state index) to the price at that peak state, is built
     from the peak rows on first read. Treat instances as immutable.
     """
 
     table: CustomerTable
     profile: DayProfile
+    categories: tuple[CategoryConfig, ...]
     prices: np.ndarray
     off_peak: Mapping[Category, float]
     provenance: str = ""
@@ -343,7 +345,7 @@ def build_schedule(ds: Dataset, dr_event: Scenario | None = None) -> PriceSchedu
     )
     if dr_event is not None:
         provenance += f"; event={dr_event.label}"
-    return PriceSchedule(ds.table, ds.profile, prices, off_peak, provenance)
+    return PriceSchedule(ds.table, ds.profile, ds.categories, prices, off_peak, provenance)
 
 
 def verify_ebe(

@@ -673,6 +673,16 @@ class TestCompare:
         assert code == 1
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value", [("--dr-max", "1.5"), ("--tou-multiplier", "0.5")])
+    def test_out_of_range_flag_is_named_before_the_inputs_are_read(
+        self, capsys, tmp_path, flag, value
+    ):
+        missing = str(tmp_path / "missing.csv")
+        argv = ["compare", "--customers", missing, "--mcp", missing, flag, value]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--tou-multiplier", "--dr-max"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN"])
     def test_non_finite_float_flag_exits_2(self, capsys, flag, value):

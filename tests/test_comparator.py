@@ -7,6 +7,7 @@ each TOU block obvious.
 """
 
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -24,18 +25,22 @@ from dlps import (
     build_schedule,
     compare_signals,
     compare_to_reference,
+    demand_grid,
     derive_flat,
     derive_tou,
+    event_multipliers,
     event_schedule,
     proposed_signal,
     random_dr_event,
     rtp_signal,
     standard_comparison,
 )
+from dlps.ingest import _customer_table
 
 from helpers import (
     build_dataset,
     build_profile,
+    feeder_csv,
     loop_billing,
     loop_dr_event,
     loop_peak_prices,
@@ -405,6 +410,20 @@ class TestSingleCompile:
         with pytest.raises(ValueError, match="schedule was built for another dataset"):
             bill_under_signal(bench_ds, proposed_signal(schedule))
 
+    @pytest.mark.parametrize("part", ["category configurations", "profile states"])
+    def test_schedule_priced_for_other_inputs_is_refused(self, bench_ds, part):
+        # at profit factor 0.5 the bundled day would bill 373,466 Rs, not 254,001 Rs
+        ds = bench_ds
+        if part == "category configurations":
+            categories = tuple(dataclasses.replace(c, profit_factor=0.5) for c in ds.categories)
+            other = dataclasses.replace(ds, categories=categories)
+        else:
+            states = tuple(dataclasses.replace(s, mcp=2 * s.mcp) for s in ds.profile.states)
+            other = dataclasses.replace(ds, profile=dataclasses.replace(ds.profile, states=states))
+        schedule = build_schedule(other)
+        with pytest.raises(ValueError, match=f"built for another dataset: other {part}$"):
+            bill_under_signal(bench_ds, proposed_signal(schedule))
+
     def test_billing_a_schedule_builds_no_customer_or_peak_dict(self, bench_ds):
         ds = dataclasses.replace(bench_ds, label="fresh")
         schedule = build_schedule(ds)
@@ -490,3 +509,34 @@ class TestSingleCompile:
         calls = self.count_calls(monkeypatch)
         compare_signals(bench_ds, signals, dr_event=event)
         assert calls == {"select_states": 1, "demand_grid": 1, "event_multipliers": 1}
+
+
+class TestBillAccuracy:
+    def test_every_cell_is_within_the_stated_bound_of_fsum(self, bench_ds):
+        # the comparator docstring's bound: gamma(k) relative, with
+        # k = ceil(log2 n) + 19 for a category of n customers
+        ds = dataclasses.replace(bench_ds, table=_customer_table(feeder_csv(2000, seed=1)))
+        event = random_dr_event(ds, 0.15, seed=1)
+        comparison = standard_comparison(ds, 1.5, dr_event=event)
+        demand = demand_grid(ds, event_multipliers(event, ds))
+        schedule = build_schedule(ds, event)
+        signals = (derive_flat(ds), rtp_signal(ds.profile), derive_tou(ds, 1.5))
+        values = {s.kind: s.values for s in signals}
+        u = 2.0**-53
+        for billing in comparison.billings:
+            for category, cols in ds.table.columns.items():
+                markup = 1.0 + ds.profit_factor(category)
+                # four more for the reference: fsum's rounding, its two
+                # products and the second-order terms
+                k = math.ceil(math.log2(cols.size)) + 19 + 4
+                for r, state in enumerate(ds.profile.states):
+                    d = demand[r, cols]
+                    if billing.kind in values:
+                        want = markup * values[billing.kind][state.index] * math.fsum(d.tolist())
+                    elif state.is_peak:
+                        want = math.fsum((schedule.prices[r, cols] * d).tolist())
+                    else:
+                        want = schedule.off_peak[category] * math.fsum(d.tolist())
+                    got = billing.by_category_state[(category, state.index)]
+                    bound = k * u / (1 - k * u) * want
+                    assert abs(got - want) <= bound, (billing.kind, category, state.index)

@@ -105,25 +105,25 @@ GOLDEN_JSON = {
     "compare": (
         ["compare", "--benchmark"],
         {
-            "comparison.json": "d5a952cc0ec5d91bd42ced98bac8cb82d3264773bb072cd5393bff956409ea2d",
+            "comparison.json": "4b77f0baa307b031051e17a29e2792ae696921821c29e5bd9305f2b6bd92513b",
         },
     ),
     "compare-no-event": (
         ["compare", "--benchmark", "--dr-max", "0"],
         {
-            "comparison.json": "4d4b2da1583bb79c580ccde574cd4e9eeebf2b67b3c91e7032b198385f5f682a",
+            "comparison.json": "92978f2acbbb18bc414e29c3b847b8afd72529b16e1e7e429da41bf54d54701d",
         },
     ),
     "compare-event-tou": (
         ["compare", "--benchmark", "--dr-max", "0.3", "--seed", "7", "--tou-multiplier", "1.5"],
         {
-            "comparison.json": "710660b8909862332a909ec32c077b1c72134640a7d56f6eda87dcbe7f56cac8",
+            "comparison.json": "1bca820686483990deb707abce6c3447fbdfbf43507ad3e0fff09278d8cee661",
         },
     ),
     "compare-no-profit": (
         ["compare", "--benchmark", "--no-profit"],
         {
-            "comparison.json": "006f18b5d06409c342a1fbc14b33f786430609311dbe54d590f502827a40df63",
+            "comparison.json": "573c579ad3dc573743d8d29533074cbdfd97f90532e672c37f379b5590694089",
         },
     ),
 }
@@ -155,7 +155,7 @@ GOLDEN_FEEDER = {
         {
             "aggregates.csv": "6f6becc8af7c00ff9f7c92d415da92cc8a407622ecf9fc358677b0e53230e6f5",
             "comparison.csv": "a772fa5325fd772a025a005c1e10ac1c836cd46100d2d7c09aa5cf7549a1a8a7",
-            "comparison.json": "b51a726d2f60fdad8a505e26e76f14fb2e38ab118c04efacc69392dcabc85082",
+            "comparison.json": "1da5b23904c5b652ed0b9154af8717feaaddd1f55e13349bed7d0b9fd98a79b2",
         },
     ),
 }
