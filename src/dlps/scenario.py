@@ -210,7 +210,8 @@ def apply_scenario(ds: Dataset, sc: Scenario, at_state: int | None = None) -> Da
     result at that state. ``at_state`` defaults to the scope when that is a
     single state index; uniform fractions need no state, since every state
     of the scope carries them alike, but per-state perturbations do. Raises
-    ValueError naming the first customer whose demand drops to zero or below.
+    ValueError naming the first customer whose demand drops to zero or below
+    or passes the float range.
     """
     if at_state is None and isinstance(sc.scope, int):
         at_state = sc.scope
@@ -224,8 +225,9 @@ def apply_scenario(ds: Dataset, sc: Scenario, at_state: int | None = None) -> Da
             )
         at_state = next(iter(select_states(ds.profile, sc.scope)), ds.profile.states[0]).index
     row = event_multipliers(sc, ds)[ds.profile.row(at_state)]
-    ids, codes, base = ds.table.ids, ds.table.codes, ds.table.base * row
-    dropped = np.flatnonzero(base <= 0)
+    with np.errstate(over="ignore"):  # a demand past the float range is refused below
+        ids, codes, base = ds.table.ids, ds.table.codes, ds.table.base * row
+    dropped = np.flatnonzero(~((base > 0) & (base < np.inf)))
     if dropped.size:
         j = dropped[0]
         raise ValueError(f"scenario {sc.label!r} drives demand of {ids[j]} to {float(base[j])} kW")
@@ -276,6 +278,19 @@ def scenario_deltas(
     columns = [100.0 * (new - old) / old for new, old in pairs]
     financials = financial_summary(perturbed, state_index, category)
     return ScenarioDeltas(state_index, category, tuple(ids), *columns, financials)
+
+
+def _run_scenario(
+    ds: Dataset, sc: Scenario, category: Category
+) -> tuple[int, Dataset, ScenarioDeltas]:
+    """The state a scenario is reported at (its scope when that is one state,
+    else the analysis state), the dataset it makes there, and the deltas of
+    ``category``. Raises ValueError when the scope holds no peak state."""
+    if not any(s.is_peak for s in select_states(ds.profile, sc.scope)):
+        raise ValueError(f"scenario {sc.label!r} scope {sc.scope!r} holds no peak state")
+    state = sc.scope if isinstance(sc.scope, int) else analysis_state(ds.profile)
+    perturbed = apply_scenario(ds, sc, at_state=state)
+    return state, perturbed, scenario_deltas(ds, perturbed, state, category)
 
 
 def financial_summary(

@@ -39,7 +39,7 @@ from dlps import (
     perturbation_at,
     select_states,
 )
-from dlps.cli import Table
+from dlps._tables import Table
 from dlps.domain import _BY_CODE, _PREFIXED_ID
 from dlps.ingest import CUSTOMERS_HEADER
 from dlps.scenario import ScenarioDeltas, _EventDraws
@@ -172,8 +172,8 @@ def loop_peak_prices(ds: Dataset, dr_event=None) -> dict:
 def loop_apply_scenario(ds: Dataset, sc, at_state=None) -> Dataset:
     """``apply_scenario`` customer by customer: each base demand times its
     factor in the at_state row of the compiled event, a customer whose
-    factor is 1 kept as it is, and the first demand driven to zero or below
-    an error."""
+    factor is 1 kept as it is, and the first demand driven to zero or below,
+    or past the float range, an error."""
     if at_state is None and isinstance(sc.scope, int):
         at_state = sc.scope
     if at_state is None:
@@ -187,7 +187,7 @@ def loop_apply_scenario(ds: Dataset, sc, at_state=None) -> Dataset:
     customers = []
     for c, factor in zip(ds.customers, row.tolist()):
         demand = c.base_demand * factor
-        if demand <= 0:
+        if not 0 < demand < math.inf:
             raise ValueError(
                 f"scenario {sc.label!r} drives demand of {c.id} to {demand} kW"
             )

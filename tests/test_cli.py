@@ -16,10 +16,11 @@ from pathlib import Path
 import pytest
 
 from dlps import (
-    Category, CustomerTable, bundled_benchmark, cli, fixed_price, ingest, load_scenario,
-    off_peak_price, profile_to_csv,
+    Category, CustomerTable, _tables, bundled_benchmark, cli, fixed_price, ingest, load_scenario,
+    off_peak_price, profile_to_csv, scenario, validation,
 )
-from dlps.cli import main, run_validation
+from dlps.cli import main
+from dlps.validation import run_validation
 
 from helpers import build_dataset, feeder_csv, round2_reference
 
@@ -431,6 +432,14 @@ class TestScenario:
         assert code == 1
         assert "I99" in err
 
+    def test_demand_past_the_float_range_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"label": "big", "perturbations": {"I8": 1e308}, "scope": 22}))
+        code, out, err = run(["scenario", "--benchmark", "--scenario", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: scenario 'big' drives demand of I8 to inf kW\n"
+
     def test_window_scoped_scenario_uses_analysis_state(self, capsys, monkeypatch):
         doc = json.dumps({"perturbations": {"I8": -0.1}, "scope": "peak"})
         code, out, _ = run(
@@ -557,7 +566,7 @@ class TestScenario:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
-        state, _, deltas = cli._run_scenario(
+        state, _, deltas = scenario._run_scenario(
             bench_ds, load_scenario(doc, bench_ds), Category.INDUSTRIAL
         )
         assert state == deltas.state == scope
@@ -772,8 +781,8 @@ class TestValidate:
 
     def test_schedule_is_built_once_per_run(self, monkeypatch, bench_ds):
         built = []
-        build = cli.build_schedule
-        monkeypatch.setattr(cli, "build_schedule", lambda ds: built.append(ds) or build(ds))
+        build = validation.build_schedule
+        monkeypatch.setattr(validation, "build_schedule", lambda ds: built.append(ds) or build(ds))
         assert all(r.passed for r in run_validation(bench_ds))
         assert built == [bench_ds]
 
@@ -781,7 +790,7 @@ class TestValidate:
         def broken(ds):
             raise ValueError("no schedule")
 
-        monkeypatch.setattr(cli, "build_schedule", broken)
+        monkeypatch.setattr(validation, "build_schedule", broken)
         failed = {r.name: r.detail for r in run_validation(bench_ds) if not r.passed}
         assert failed == dict.fromkeys(
             ["unit-prices", "base-financials", "billing-extremes"], "error: no schedule"
@@ -805,7 +814,7 @@ class TestValidate:
 
     def test_wrong_dataset_through_cli_exits_1(self, capsys, monkeypatch):
         toy = build_dataset(industrial=[30.0, 60.0])
-        monkeypatch.setattr("dlps.cli.bundled_benchmark", lambda: toy)
+        monkeypatch.setattr("dlps.validation.bundled_benchmark", lambda: toy)
         code, out, _ = run(["validate"], capsys)
         assert code == 1
         assert "[FAIL]" in out
@@ -823,7 +832,7 @@ class TestValidate:
             profile=bench_ds.profile,
             label=bench_ds.label,
         )
-        monkeypatch.setattr("dlps.cli.bundled_benchmark", lambda: bumped)
+        monkeypatch.setattr("dlps.validation.bundled_benchmark", lambda: bumped)
         code, out, _ = run(["validate"], capsys)
         assert code == 1
         outcomes = {
@@ -1106,12 +1115,12 @@ class TestStreamedOutput:
     @staticmethod
     def tables():
         ids = ["I1", "I2", "I3"]
-        on_peak = cli.Table("on_peak", (
+        on_peak = _tables.Table("on_peak", (
             ("id", "str", ids),
             ("state", "int", [18, 19]),
             ("unit_price_rs", "rs", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
         ), row_keys=1, block_keys=1)
-        off_peak = cli.Table("off_peak", (("unit_price_rs", "rs", [float("nan")]),))
+        off_peak = _tables.Table("off_peak", (("unit_price_rs", "rs", [float("nan")]),))
         return [on_peak, off_peak]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -10,6 +10,7 @@ import pytest
 
 from dlps import (
     Category,
+    Customer,
     ParseError,
     assemble_dataset,
     bundled_benchmark,
@@ -23,6 +24,7 @@ from dlps import (
     validate_dataset,
 )
 from dlps import ingest
+from dlps.ingest import StateRow
 
 CUSTOMERS_CSV = """id,category,base_demand_kw
 I1,industrial,30
@@ -35,6 +37,11 @@ GOOD_CUSTOMERS_CSV = "id,category,base_demand_kw\nI1,industrial,30\nI2,industria
 MCP_CSV = "state,mcp_rs_per_kwh,load_factor\n" + "".join(
     f"{i},{2.0 + i * 0.1:g},{0.5 + i * 0.02:g}\n" for i in range(1, 25)
 )
+
+
+@pytest.fixture
+def hypothesis():
+    return pytest.importorskip("hypothesis")
 
 
 def write_data_dir(path, bench_ds, customers=GOOD_CUSTOMERS_CSV):
@@ -296,6 +303,59 @@ class TestRoundTrips:
         config = parse_config('{"profit_factors": {"industrial": 0.05}}')
         text = config_to_json(config)
         assert parse_config(text) == config
+
+    def test_generated_customers_read_back_or_are_refused(self, hypothesis):
+        st = hypothesis.strategies
+        # mostly ids that read back, with commas, quotes, newlines, NULs and
+        # other scripts inside, and now and then any text at all
+        inside = st.text(max_size=4) | st.text(st.sampled_from(list(',"\n\0 \t\xa0é😀')), max_size=4)
+        odd = st.builds("{}{}{}".format, st.sampled_from("RCI"), inside, st.sampled_from("0123456789"))
+        ids = st.lists(odd | odd | odd | st.text(max_size=3), min_size=1, max_size=8, unique=True)
+        demands = st.floats(5e-324, 1e308) | st.sampled_from([5e-324, 2.2250738585072014e-308, 1e308])
+
+        @st.composite
+        def feeders(draw):
+            return [Customer(cid, draw(st.sampled_from(Category)), draw(demands)) for cid in draw(ids)]
+
+        def one(cid):
+            return [Customer("I1", Category.INDUSTRIAL, 30.0), Customer(cid, Category.RESIDENTIAL, 8.0)]
+
+        # the ids that cannot read back: a CR, which files read as a newline,
+        # whitespace around the id, which the reader strips, and no id at all
+        @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
+        @hypothesis.given(feeders())
+        @hypothesis.example(one("R\r1"))
+        @hypothesis.example(one(" R1 "))
+        @hypothesis.example(one("R1\t"))
+        @hypothesis.example(one("R\xa0"))
+        @hypothesis.example(one(""))
+        @hypothesis.example(one("   "))
+        def check(customers):
+            try:
+                text = customers_to_csv(customers)
+            except ValueError as exc:
+                assert any(repr(c.id) in str(exc) for c in customers), exc
+                return
+            assert parse_customers(text) == customers
+            # as a file is read: the bytes decoded, each CR read as a newline
+            assert parse_customers(ingest._decode(text.encode("utf-8"), "feeder.csv")) == customers
+
+        check()
+
+    def test_generated_profiles_read_back(self, hypothesis):
+        st = hypothesis.strategies
+        values = st.floats(5e-324, 1e308) | st.sampled_from([5e-324, 1e308])
+
+        @st.composite
+        def profiles(draw):  # every state, in any order
+            return [StateRow(i, draw(values), draw(values)) for i in draw(st.permutations(range(1, 25)))]
+
+        @hypothesis.settings(derandomize=True, max_examples=20, deadline=None)
+        @hypothesis.given(profiles())
+        def check(rows):
+            assert parse_mcp(profile_to_csv(rows)) == sorted(rows, key=lambda r: r.index)
+
+        check()
 
 
 class TestAssembly:

@@ -313,6 +313,7 @@ class TestScenarioParity:
     @example((TWO_PLANTS, Scenario("cut", {"I2": -2.0, "I1": -1.5}, "peak"), 20))
     @example((TWO_PLANTS, Scenario("cut", {"I1": {19: -1.0}, "R1": 0.5}, "day"), 19))
     @example((TWO_PLANTS, Scenario("cut", {"I1": {19: -1.0}}, "day"), None))
+    @example((TWO_PLANTS, Scenario("big", {"I2": 1e308}, 22), None))
     def test_same_columns_or_same_error(self, case):
         assert applied(apply_scenario, *case) == applied(loop_apply_scenario, *case)
 

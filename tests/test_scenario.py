@@ -111,6 +111,11 @@ class TestApplyScenario:
         with pytest.raises(ValueError, match="drives demand"):
             apply_scenario(bench_ds, sc)
 
+    def test_demand_past_the_float_range_rejected(self, bench_ds):
+        sc = Scenario(label="big", perturbations={"I8": 1e308}, scope=22)
+        with pytest.raises(ValueError, match=r"^scenario 'big' drives demand of I8 to inf kW$"):
+            apply_scenario(bench_ds, sc)
+
     def test_per_state_values_need_a_state(self, bench_ds):
         sc = Scenario(
             label="nested", perturbations={"I8": {22: -0.1}}, scope="peak"

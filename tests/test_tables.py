@@ -21,8 +21,8 @@ from decimal import InvalidOperation
 import numpy as np
 import pytest
 
-from dlps import cli
-from dlps.cli import Coded, Table, _table_csv, _table_json
+from dlps import _tables
+from dlps._tables import Coded, Table, _table_csv, _table_json
 
 from helpers import flatten_table, round2_reference, table_csv_reference, table_json_reference
 
@@ -236,8 +236,8 @@ class TestSplicedCells:
 
     def test_round2_runs_once_per_flagged_cell(self, monkeypatch):
         calls = []
-        round2 = cli._round2
-        monkeypatch.setattr(cli, "_round2", lambda v: calls.append(v) or round2(v))
+        round2 = _tables._round2
+        monkeypatch.setattr(_tables, "_round2", lambda v: calls.append(v) or round2(v))
         t = Table("t", (
             ("rs", "rs", np.array([2.675, 1.25, 0.0, 3.5, 1e9])),
             ("pp", "pct", [-1e-9, 7.25, 1.005, None, 12.5]),
@@ -252,7 +252,7 @@ class TestSplicedCells:
     def test_float64_list_columns_skip_the_per_cell_encoder(self, monkeypatch):
         calls = []
         dumps = json.dumps
-        monkeypatch.setattr(cli.json, "dumps", lambda v, **kw: calls.append(v) or dumps(v, **kw))
+        monkeypatch.setattr(_tables.json, "dumps", lambda v, **kw: calls.append(v) or dumps(v, **kw))
         t = Table("t", (
             ("pp", "pct", [np.float64(1 / 3), 2.5, np.float64(-0.0), np.float64(1e300)]),
             ("rs", "rs", (np.float64(0.1) + 0.2, np.float64(7.0), -1e-9, 5e-324)),
@@ -307,8 +307,8 @@ class TestGridWriter:
 
     def test_each_key_is_formatted_once(self, monkeypatch):
         formatted = []
-        units = cli.text_units
-        monkeypatch.setattr(cli, "text_units", lambda c: formatted.append(len(c)) or units(c))
+        units = _tables.text_units
+        monkeypatch.setattr(_tables, "text_units", lambda c: formatted.append(len(c)) or units(c))
         t = grid(list(PLAIN), blocks=6)
         assert csv_text(t) == table_csv_reference(flatten_table(t))
         assert formatted == [len(IDS), len(IDS), 6]
