@@ -18,10 +18,10 @@ Bills come from the demand grid ``D = lf * base * M`` (state x customer,
 category's total demand at each state. A flat, RTP or TOU cell is
 ``p_s * T[s, c]``, marked up by the category's profit factor when asked so
 the retailer take matches across columns. A proposed off-peak cell is the
-window price times ``T[s, c]``, and a proposed peak cell the sum of
-``p * d`` over the category's columns, so its balance stays a check; its
-schedule must be priced for the customers, profile states and category
-configurations billed.
+window price times ``T[s, c]``; a category's proposed peak cells are the row
+sums of its one (peak x customer) block of ``p * d``, so their balance stays
+a check. The schedule must be priced for the customers, profile states and
+category configurations billed.
 
 Each sum is numpy's pairwise sum of one contiguous row of non-negative
 terms, so a bill of a category of n customers is within
@@ -196,10 +196,10 @@ def _bill(ds: Dataset, signal: TariffSignal, demand: np.ndarray, totals: np.ndar
                 raise ValueError(
                     f"proposed signal's schedule was built for another dataset: other {part}")
         cells = totals * np.array([schedule.off_peak[c] for c in columns])
-        for r, state in enumerate(states):
-            if state.is_peak:
-                for k, cols in enumerate(columns.values()):
-                    cells[r, k] = (schedule.prices[r, cols] * demand[r, cols]).sum()
+        peak = [r for r, state in enumerate(states) if state.is_peak]
+        for k, cols in enumerate(columns.values()):
+            at = np.add.outer(np.array(peak, dtype=np.intp) * demand.shape[1], cols)
+            cells[peak, k] = (schedule.prices.take(at) * demand.take(at)).sum(axis=1)
     else:
         try:
             prices = np.array([signal.values[s.index] for s in states], dtype=float)

@@ -539,13 +539,16 @@ def _number(value: float) -> str:
 def customers_to_csv(customers: Iterable[Customer]) -> str:
     """Serialize customers to the canonical CSV form parse_customers accepts,
     or raise ValueError at the first id that would not read back: one that is
-    empty, has whitespace around it (read stripped) or holds a CR (read as LF)."""
+    empty, has whitespace around it (read stripped), holds a CR (read as LF)
+    or repeats an id written before it (refused as a duplicate)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CUSTOMERS_HEADER)
+    written: set[str] = set()
     for c in customers:
-        if not c.id or c.id != c.id.strip() or "\r" in c.id:
+        if not c.id or c.id != c.id.strip() or "\r" in c.id or c.id in written:
             raise ValueError(f"customer id {c.id!r} would not read back from CSV")
+        written.add(c.id)
         # repr keeps the shortest digit string that parses back exactly
         writer.writerow([c.id, c.category.value, _number(c.base_demand)])
     return out.getvalue()

@@ -16,15 +16,11 @@ price: the demand-weighted average market price over the off-peak window,
 marked up by the same profit factor, so the balance holds over the window
 as a whole rather than state by state.
 
-``price_grid`` prices the (state x customer) rows a caller asks for, in
-profile and dataset order. It builds them in one step, ``lf * base`` times
-the demand-response event ``M`` (``scenario.event_multipliers``) when there
-is one; each category's off-peak window is summed from rows built again
-from its scaled base demands. ``on_peak_prices`` runs once per (category,
-requested peak state) and ``off_peak_price`` once per category window, on
-the values the per-customer formulas above would see, so prices are
-bitwise those of pricing each group from its customers one by one.
-``build_schedule`` keeps the whole price matrix as a ``PriceSchedule``.
+``price_grid`` prices the (state x customer) rows asked for, ``lf * base``
+times a demand-response event's factors in its scope: each category's peak
+rows as one block, row by row as ``on_peak_prices`` would, and its off-peak
+window in one ``off_peak_price`` call, so prices are bitwise those of
+pricing each group alone. ``build_schedule`` keeps them as a ``PriceSchedule``.
 
 Every sum is taken on its values times ``2**-e``, ``e`` the binary exponent
 of the largest value (for rows not built yet, of a bound on it), so no sum
@@ -43,7 +39,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .domain import Category, CategoryConfig, Customer, CustomerTable, Dataset, DayProfile
-from .domain import SystemState, select_states
+from .domain import _BY_CODE, SystemState, select_states
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -260,19 +256,15 @@ def price_grid(
     ``states`` is None), and each category's off-peak window price, in the
     order of ``ds.table.columns`` (config order for the datasets
     ``assemble_dataset`` builds). Each demand row is bitwise that row of
-    ``domain.demand_grid``, shaped by the demand-response event ``dr_event``
-    (compiled once by ``scenario.event_multipliers``) when one is given. A
-    peak row holds ``on_peak_prices`` of each category's columns; an
-    off-peak row holds the category's window price.
-
-    The requested rows are built in one step and each group is priced from
-    a contiguous copy of its columns. A peak state not asked for is not
-    priced, and every off-peak row is built again per category, from its
-    scaled base demands, to be summed into its window. Raises KeyError for
-    an index that is not a state of the profile or a category with no
-    configuration, ValueError for a repeated index, and DegenerateGroupError
-    or DegenerateWindowError with the offending category and state named
-    when a group cannot be priced.
+    ``domain.demand_grid``; under an event ``dr_event`` only the rows of its
+    scope are compiled and multiplied. A peak row holds ``on_peak_prices`` of
+    each category's columns, priced as one block per category; a peak state
+    not asked for is not priced. An off-peak row holds the category's window
+    price; each window is summed from its rows built again from the scaled
+    base demands. Raises KeyError for an index that is not a state of the
+    profile or a category with no configuration, ValueError for a repeated
+    index, and otherwise the error of the first group, in category then
+    profile order, that cannot be priced, naming its category and state.
     """
     profile = ds.profile
     if states is None:
@@ -281,51 +273,73 @@ def price_grid(
         rows = [profile.row(index) for index in states]
         if len(set(rows)) < len(rows):
             raise ValueError(f"states must not repeat, got {list(states)}")
-    multipliers = None
-    if dr_event is not None:
-        from .scenario import event_multipliers  # deferred: scenario imports pricing
-
-        multipliers = event_multipliers(dr_event, ds)
     lf = np.array([s.load_factor for s in profile.states], dtype=float)
-    base = ds.table.base
-    demand = lf[rows, None] * base
-    out = {r: k for k, r in enumerate(rows)}
-    if multipliers is not None:
-        for r, k in out.items():
-            demand[k] *= multipliers[r]
-    prices = np.empty_like(demand)
-    off_rows = [k for r, k in out.items() if not profile.states[r].is_peak]
-    off_mcps = np.array([s.mcp for s in profile.off_peak_states], dtype=float)
     # a category's demands are below 2**(the exponent of its largest base
     # demand + grow); its window is summed at that scale, so no total overflows
     grow = math.frexp(lf.max())[1]
-    if multipliers is not None:
-        grow += math.frexp(multipliers.max(initial=0.0))[1]
+    event: dict[int, np.ndarray] = {}  # the event's factors at each row of its scope
+    if dr_event is not None:
+        from .scenario import _compile_event  # deferred: scenario imports pricing
+
+        scope, factors = _compile_event(dr_event, ds)
+        event = dict(zip(scope, factors))
+        # every factor outside the scope is 1
+        grow += math.frexp(factors.max(initial=0.0 if len(scope) == len(lf) else 1.0))[1]
+    base = ds.table.base
+    off = [r for r, s in enumerate(profile.states) if not s.is_peak]
+    totals = {}  # each category's off-peak rows, built again from its scaled base demands, summed
+    for category, cols in ds.table.columns.items():
+        scaled = np.ldexp(base[cols], -(math.frexp(base[cols].max())[1] + grow))
+        window = np.multiply.outer(lf[off], scaled)
+        for i, r in enumerate(off):
+            if r in event:
+                window[i] *= event[r][cols]
+        totals[category] = window.sum(axis=1)
+    demand = lf[rows, None] * base
+    out = {r: k for k, r in enumerate(rows)}
+    for r in event.keys() & out.keys():
+        demand[out[r]] *= event[r]
+    prices = np.empty_like(demand)
+    # in profile order, so that the first group that cannot be priced is named
+    peak = [(out[r], s) for r, s in enumerate(profile.states) if s.is_peak and r in out]
+    off_rows = [k for r, k in out.items() if not profile.states[r].is_peak]
+    off_mcps = np.array([s.mcp for s in profile.off_peak_states], dtype=float)
     off_peak: dict[Category, float] = {}
     for category, cols in ds.table.columns.items():
         kp = ds.config_for(category).profit_factor
-        group = np.ldexp(base[cols], -(math.frexp(base[cols].max())[1] + grow))
-        totals = []
-        for r, state in enumerate(profile.states):
-            k = out.get(r)
-            if not state.is_peak:
-                d = lf[r] * group if multipliers is None else lf[r] * group * multipliers[r, cols]
-                totals.append(d.sum())
-            elif k is not None:
-                try:
-                    prices[k, cols] = on_peak_prices(demand[k, cols], kp, state.mcp)
-                except DegenerateGroupError as exc:
-                    raise DegenerateGroupError(
-                        f"category {category.value} at state {state.index}: {exc}"
-                    ) from None
+        if peak:
+            block = np.ix_([k for k, _ in peak], cols)
+            prices[block] = _peak_prices(demand[block], kp, [s for _, s in peak], category)
         try:
-            off_peak[category] = off_peak_price(totals, off_mcps, kp)
+            off_peak[category] = off_peak_price(totals[category], off_mcps, kp)
         except DegenerateWindowError as exc:
-            raise DegenerateWindowError(
-                f"category {category.value} off-peak window: {exc}"
-            ) from None
-        prices[np.ix_(off_rows, cols)] = off_peak[category]
+            raise DegenerateWindowError(f"category {category.value} off-peak window: {exc}") from None
+    window = np.array([off_peak.get(category, 0.0) for category in _BY_CODE])
+    prices[off_rows] = window[ds.table.codes]
     return demand, prices, off_peak
+
+
+def _peak_prices(block: np.ndarray, profit_factor: float, states: list[SystemState],
+                 category: Category) -> np.ndarray:
+    """``on_peak_prices`` of each row k of a (peak state x customer) block
+    at ``states[k]``, written over the block, by ``_group_sums``' steps row by
+    row. The block is checked at once; its first bad row is priced alone, to
+    raise that row's error."""
+    mcps = np.array([s.mcp for s in states], dtype=float)
+    top = block.max(axis=1)
+    ok = (block.min(axis=1) >= 0) & (top > 0) & (top < np.inf) & (mcps > 0) & (mcps < np.inf)
+    ok &= 0.0 <= profit_factor < 1.0
+    if not ok.all():
+        k = int(np.argmin(ok))
+        try:
+            on_peak_prices(block[k], profit_factor, states[k].mcp)
+        except DegenerateGroupError as exc:
+            raise DegenerateGroupError(
+                f"category {category.value} at state {states[k].index}: {exc}"
+            ) from None
+    d = np.ldexp(block, -np.frexp(top)[1][:, None], out=block)
+    d *= ((1.0 + profit_factor) * mcps * (d.sum(axis=1) / [np.dot(r, r) for r in d]))[:, None]
+    return d
 
 
 def build_schedule(ds: Dataset, dr_event: Scenario | None = None) -> PriceSchedule:

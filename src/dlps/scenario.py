@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 # collections.abc, not typing: isinstance against typing.Mapping is about five
-# times slower, and event_multipliers runs it once per perturbed customer
+# times slower, and the event compile runs it once per perturbed customer
 from collections.abc import Iterator, Mapping
 from functools import cached_property
 
@@ -73,9 +73,9 @@ class _EventDraws(Mapping):
     """Read-only {customer id: {state index: fraction}} view of a draw array.
 
     Row i of ``draws`` holds the fractions of customer ``ids[i]`` at
-    ``states``. The array is the event's internal form, which
-    ``event_multipliers`` places into the grid as it is; a customer's dict
-    is built only when it is looked up.
+    ``states``. The array is the event's internal form, which the event
+    compile reads as it is; a customer's dict is built only when it is
+    looked up.
     """
 
     def __init__(self, ids: tuple[str, ...], states: tuple[int, ...], draws: np.ndarray):
@@ -155,34 +155,31 @@ def perturbation_at(sc: Scenario, customer_id: str, state_index: int, profile: D
     return float(p)
 
 
-def event_multipliers(sc: Scenario, ds: Dataset) -> np.ndarray:
-    """Compile a scenario into demand factors per (state, customer).
-
-    Rows follow the profile's state order and columns the dataset's customer
-    order, matching ``domain.demand_grid``. A cell is ``1 + perturbation``
-    inside the scenario's scope and 1 outside it, so the scope is resolved
-    once per compile rather than once per lookup. A random event drawn
-    against these customers fills one row per drawn state from its draw
-    array; otherwise each perturbed customer fills its column, a uniform
-    fraction at every state of the scope. Raises ValueError naming perturbed
-    customer ids that are not in the dataset, or else per-state keys that
-    are not states of the profile, in the order they are met.
-    """
-    states = ds.profile.states
+def _compile_event(sc: Scenario, ds: Dataset) -> tuple[list[int], np.ndarray]:
+    """The profile rows of a scenario's scope, in scope order, and its demand
+    factors there, (row x customer): ``1 + perturbation``, or 1 where none is
+    given; ``1 + draws.T`` for a random event drawn at the scope's states.
+    Raises ValueError naming perturbed customer ids not in the dataset, or
+    else per-state keys not states of the profile, in the order met."""
     row_of = ds.profile.row_of
-    scope = [s.index for s in select_states(ds.profile, sc.scope)]
+    scope = dict.fromkeys(s.index for s in select_states(ds.profile, sc.scope))
+    rows = [row_of[t] for t in scope]
     ids = ds.table.ids
     event = sc.perturbations
-    factors = np.ones((len(states), len(ids)))
+    drawn = isinstance(event, _EventDraws) and event.ids == ids
+    if drawn and event.states == tuple(scope):
+        return rows, 1.0 + event.draws.T
+    at = dict(zip(scope, range(len(rows))))  # the row of factors of each state of the scope
+    factors = np.ones((len(rows), len(ids)))
     strays: dict = {}  # ordered set, in the order they were met
 
     def place(t: int, columns, fractions) -> None:
         if t not in row_of:
             strays[t] = None
-        elif t in scope:
-            factors[row_of[t], columns] = 1.0 + fractions
+        elif t in at:
+            factors[at[t], columns] = 1.0 + fractions
 
-    if isinstance(event, _EventDraws) and event.ids == ids:
+    if drawn:
         for t, fractions in zip(event.states, event.draws.T):
             place(t, slice(None), fractions)
     else:
@@ -199,14 +196,23 @@ def event_multipliers(sc: Scenario, ds: Dataset) -> np.ndarray:
         raise ValueError(
             f"scenario {sc.label!r} perturbs states not in the profile: {list(strays)}"
         )
-    return factors
+    return rows, factors
+
+
+def event_multipliers(sc: Scenario, ds: Dataset) -> np.ndarray:
+    """Demand factors per (state, customer), as ``domain.demand_grid`` takes
+    them: ``_compile_event``'s rows placed in a grid of ones."""
+    rows, factors = _compile_event(sc, ds)
+    grid = np.ones((len(ds.profile.states), len(ds.table)))
+    grid[rows] = factors
+    return grid
 
 
 def apply_scenario(ds: Dataset, sc: Scenario, at_state: int | None = None) -> Dataset:
     """Return a new dataset whose base demands are one state's row of the event.
 
-    The row of ``at_state`` in ``event_multipliers`` scales the table's base
-    column, so a state outside the scope keeps base demand; evaluate the
+    The compiled event's row of ``at_state`` scales the table's base column;
+    a state outside the scope has no row, and keeps base demand. Evaluate the
     result at that state. ``at_state`` defaults to the scope when that is a
     single state index; uniform fractions need no state, since every state
     of the scope carries them alike, but per-state perturbations do. Raises
@@ -224,7 +230,8 @@ def apply_scenario(ds: Dataset, sc: Scenario, at_state: int | None = None) -> Da
                 "pass at_state to pick the state to realize"
             )
         at_state = next(iter(select_states(ds.profile, sc.scope)), ds.profile.states[0]).index
-    row = event_multipliers(sc, ds)[ds.profile.row(at_state)]
+    factors = dict(zip(*_compile_event(sc, ds)))  # by row of the scope
+    row = factors.get(ds.profile.row(at_state), 1.0)
     with np.errstate(over="ignore"):  # a demand past the float range is refused below
         ids, codes, base = ds.table.ids, ds.table.codes, ds.table.base * row
     dropped = np.flatnonzero(~((base > 0) & (base < np.inf)))

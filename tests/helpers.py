@@ -1,6 +1,6 @@
 """Builders for small synthetic datasets used across the test modules, and
-per-cell, per-customer and per-row oracles that the array-based pricing,
-billing, scenario application, table writers, customer parsing and
+per-cell, per-group, per-customer and per-row oracles that the array-based
+pricing, billing, scenario application, table writers, customer parsing and
 validation are checked against, with the earlier hand-tuned forms of the
 event compile, the scenario delta rows and the id-prefix check; and a
 loader for the benchmark's own modules."""
@@ -28,6 +28,8 @@ from dlps import (
     CustomerTable,
     Dataset,
     DayProfile,
+    DegenerateGroupError,
+    DegenerateWindowError,
     ParseError,
     SignalKind,
     SystemState,
@@ -35,6 +37,7 @@ from dlps import (
     category_demands,
     event_multipliers,
     financial_summary,
+    off_peak_price,
     on_peak_prices,
     perturbation_at,
     select_states,
@@ -167,6 +170,57 @@ def loop_peak_prices(ds: Dataset, dr_event=None) -> dict:
             for c, price in zip(customers, on_peak_prices(demands, kp, state.mcp)):
                 out[(c.id, state.index)] = float(price)
     return out
+
+
+def loop_price_grid(ds: Dataset, dr_event=None, states=None):
+    """``price_grid`` group by group: the demand rows times the event's whole
+    (state x customer) grid, from ``blocked_event_multipliers``; one
+    ``on_peak_prices`` call per (category, requested peak state), with a
+    degenerate group's error naming both; and each off-peak window summed
+    row by row from the category's scaled base demands times the grid's
+    row."""
+    profile = ds.profile
+    if states is None:
+        rows = list(range(len(profile.states)))
+    else:
+        rows = [profile.row(index) for index in states]
+        if len(set(rows)) < len(rows):
+            raise ValueError(f"states must not repeat, got {list(states)}")
+    multipliers = None if dr_event is None else blocked_event_multipliers(dr_event, ds)
+    lf = np.array([s.load_factor for s in profile.states], dtype=float)
+    base = ds.table.base
+    demand = lf[rows, None] * base
+    if multipliers is not None:
+        demand *= multipliers[rows]
+    prices = np.empty_like(demand)
+    off_rows = [k for k, r in enumerate(rows) if not profile.states[r].is_peak]
+    off_mcps = np.array([s.mcp for s in profile.off_peak_states], dtype=float)
+    grow = math.frexp(lf.max())[1]
+    if multipliers is not None:
+        grow += math.frexp(multipliers.max(initial=0.0))[1]
+    off_peak = {}
+    for category, cols in ds.table.columns.items():
+        kp = ds.config_for(category).profit_factor
+        group = np.ldexp(base[cols], -(math.frexp(base[cols].max())[1] + grow))
+        totals = []
+        for r, state in enumerate(profile.states):
+            if not state.is_peak:
+                d = lf[r] * group if multipliers is None else lf[r] * group * multipliers[r, cols]
+                totals.append(d.sum())
+            elif r in rows:
+                k = rows.index(r)
+                try:
+                    prices[k, cols] = on_peak_prices(demand[k, cols], kp, state.mcp)
+                except DegenerateGroupError as exc:
+                    raise DegenerateGroupError(
+                        f"category {category.value} at state {state.index}: {exc}"
+                    ) from None
+        try:
+            off_peak[category] = off_peak_price(totals, off_mcps, kp)
+        except DegenerateWindowError as exc:
+            raise DegenerateWindowError(f"category {category.value} off-peak window: {exc}") from None
+        prices[np.ix_(off_rows, cols)] = off_peak[category]
+    return demand, prices, off_peak
 
 
 def loop_apply_scenario(ds: Dataset, sc, at_state=None) -> Dataset:

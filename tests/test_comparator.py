@@ -478,7 +478,7 @@ class TestSingleCompile:
         for module, name in (
             (dlps.domain, "select_states"),
             (dlps.domain, "demand_grid"),
-            (dlps.scenario, "event_multipliers"),
+            (dlps.scenario, "_compile_event"),
         ):
             original = getattr(module, name)
             calls[name] = 0
@@ -496,7 +496,7 @@ class TestSingleCompile:
         calls = self.count_calls(monkeypatch)
         event = random_dr_event(bench_ds, 0.15, seed=1)
         standard_comparison(bench_ds, 1.5, dr_event=event)
-        assert calls == {"select_states": 1, "demand_grid": 0, "event_multipliers": 1}
+        assert calls == {"select_states": 1, "demand_grid": 0, "_compile_event": 1}
 
     def test_compare_signals_compiles_once_for_every_signal(self, bench_ds, monkeypatch):
         event = random_dr_event(bench_ds, 0.15, seed=1)
@@ -508,7 +508,7 @@ class TestSingleCompile:
         )
         calls = self.count_calls(monkeypatch)
         compare_signals(bench_ds, signals, dr_event=event)
-        assert calls == {"select_states": 1, "demand_grid": 1, "event_multipliers": 1}
+        assert calls == {"select_states": 1, "demand_grid": 1, "_compile_event": 1}
 
 
 class TestBillAccuracy:

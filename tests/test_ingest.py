@@ -321,7 +321,8 @@ class TestRoundTrips:
             return [Customer("I1", Category.INDUSTRIAL, 30.0), Customer(cid, Category.RESIDENTIAL, 8.0)]
 
         # the ids that cannot read back: a CR, which files read as a newline,
-        # whitespace around the id, which the reader strips, and no id at all
+        # whitespace around the id, which the reader strips, no id at all, and
+        # an id written before, which the reader refuses as a duplicate
         @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
         @hypothesis.given(feeders())
         @hypothesis.example(one("R\r1"))
@@ -330,6 +331,7 @@ class TestRoundTrips:
         @hypothesis.example(one("R\xa0"))
         @hypothesis.example(one(""))
         @hypothesis.example(one("   "))
+        @hypothesis.example(one("I1"))
         def check(customers):
             try:
                 text = customers_to_csv(customers)

@@ -1,7 +1,8 @@
 """Parity of the columnar customer parser, of ``validate_dataset``, of
-``apply_scenario``, of the event compile, of the scenario delta rows and of
-the id-prefix check with the row-by-row, customer-by-customer and earlier
-hand-tuned versions kept in ``helpers``, on generated inputs.
+``apply_scenario``, of the event compile, of ``price_grid``'s block pricing,
+of the scenario delta rows and of the id-prefix check with the row-by-row,
+customer-by-customer, group-by-group and earlier hand-tuned versions kept in
+``helpers``, on generated inputs.
 
 Hypothesis runs derandomized, so every run tries the same examples."""
 
@@ -27,14 +28,16 @@ from dlps import (
     event_multipliers,
     parse_customers,
     preset_scenario,
+    price_grid,
     random_dr_event,
     scenario_deltas,
+    select_states,
     validate_dataset,
 )
 from dlps import ingest
 from dlps.domain import _prefix_mismatches
 from dlps.ingest import CUSTOMERS_HEADER, _customer_table
-from dlps.scenario import _EventDraws
+from dlps.scenario import _EventDraws, _compile_event
 
 from helpers import (
     blocked_event_multipliers,
@@ -46,6 +49,7 @@ from helpers import (
     loop_customer_violations,
     loop_parse_customers,
     loop_prefix_mismatches,
+    loop_price_grid,
 )
 
 pytest.importorskip("hypothesis")
@@ -382,6 +386,22 @@ def compile_case(draw):
     return ds, Scenario("generated", perturbations, scope)
 
 
+def shuffled(ds, order):
+    """The dataset with its customers in ``order``."""
+    return dataclasses.replace(ds, table=CustomerTable.from_customers(ds.customers[i] for i in order))
+
+
+@st.composite
+def shuffled_compile_case(draw):
+    """A ``compile_case`` whose customers may then be put in another order,
+    so that a random event drawn against them is met as a mapping."""
+    ds, sc = draw(compile_case())
+    return shuffled(ds, draw(st.permutations(range(len(ds.table))))), sc
+
+
+COMPILE = settings(derandomize=True, max_examples=300, deadline=None)
+
+
 def compiled(compile_event, ds, sc):
     """A scenario's factors as bytes, or its error."""
     try:
@@ -406,6 +426,29 @@ class TestEventCompileParity:
         ds, sc = case
         assert compiled(event_multipliers, ds, sc) == compiled(blocked_event_multipliers, ds, sc)
 
+    @COMPILE
+    @given(shuffled_compile_case())
+    @example((TWO_PLANTS, random_dr_event(TWO_PLANTS, 0.3, seed=1)))
+    @example((TWO_PLANTS, dataclasses.replace(random_dr_event(TWO_PLANTS, 0.3, seed=1), scope=22)))
+    @example((shuffled(TWO_PLANTS, [2, 0, 1]), random_dr_event(TWO_PLANTS, 0.3, seed=1)))
+    @example((TWO_PLANTS, Scenario("strays", {"I1": {99: 0.1}, "I2": {22: 0.2}}, "off_peak")))
+    def test_scope_rows_in_a_grid_of_ones_are_the_grid(self, case):
+        ds, sc = case
+        scope = [ds.profile.row(s.index) for s in select_states(ds.profile, sc.scope)]
+
+        def placed(sc, ds):
+            rows, factors = _compile_event(sc, ds)
+            assert rows == scope
+            grid = np.ones((len(ds.profile.states), len(ds.table)))
+            grid[rows] = factors
+            return grid
+
+        got = compiled(placed, ds, sc)
+        assert got == compiled(event_multipliers, ds, sc) == compiled(blocked_event_multipliers, ds, sc)
+        if got[0] == "ok":
+            outside = [r for r in range(len(ds.profile.states)) if r not in scope]
+            assert (event_multipliers(sc, ds)[outside] == 1.0).all()
+
     def test_float32_fraction_is_widened_before_it_is_added(self):
         sc = Scenario("narrow", {"I1": np.float32(0.1), "I2": {22: np.float32(0.1)}}, 22)
         factors = event_multipliers(sc, TWO_PLANTS)
@@ -413,6 +456,79 @@ class TestEventCompileParity:
         # columns R1, I1, I2; row 21 is state 22
         assert factors[21].tolist() == [1.0, *[1.0 + float(np.float32(0.1))] * 2]
         assert factors[21, 1] != 1.0 + np.float32(0.1)
+
+
+# --- the per-group price loop ------------------------------------------------------
+
+# now and then a market price, margin or load factor that cannot be priced
+BAD_MCPS = st.sampled_from([0.0, -1.0, math.nan, math.inf])
+BAD_MARGINS = st.sampled_from([1.0, -0.1])
+RARELY = st.integers(0, 4).map(lambda k: k == 0)
+
+
+@st.composite
+def pricing_case(draw):
+    """A small dataset on a generated profile, with margins, where now and
+    then one market price or margin is out of range or a load factor is 0;
+    no event, a random one, or explicit fractions that may take a demand to
+    zero or below; and every state, or some states, maybe one twice or one
+    that the profile lacks."""
+    mcps = [draw(st.sampled_from([0.5, 3.0, 7.25])) for _ in range(24)]
+    if draw(RARELY):
+        mcps[draw(st.integers(0, 23))] = draw(BAD_MCPS)
+    load_factors = draw(st.lists(st.floats(0.05, 3.0), min_size=24, max_size=24))
+    if draw(RARELY):
+        load_factors[draw(st.integers(0, 23))] = 0.0
+    profit = {cat: draw(st.sampled_from([0.0, 0.01, 0.3])) for cat in Category}
+    if draw(RARELY):
+        profit[draw(st.sampled_from(Category))] = draw(BAD_MARGINS)
+    ds = build_dataset(
+        industrial=draw(st.lists(st.floats(0.5, 900.0), min_size=1, max_size=5)),
+        commercial=draw(st.lists(st.floats(15.0, 45.0), max_size=2)),
+        residential=draw(st.lists(st.floats(0.5, 50.0), max_size=3)),
+        profile=build_profile(
+            mcps=mcps,
+            load_factors=load_factors,
+            peak=tuple(draw(st.sets(STATES, min_size=1, max_size=23))),
+        ),
+        profit=profit,
+    )
+    kind = draw(st.sampled_from(["none", "random", "explicit"]))
+    event = None
+    if kind == "random":
+        event = random_dr_event(ds, draw(st.floats(0.0, 0.99)), draw(st.integers(0, 2**32)),
+                                symmetric=draw(st.booleans()))
+        event = dataclasses.replace(event, scope=draw(st.sampled_from(["peak", "day"]) | STATES))
+    elif kind == "explicit":
+        chosen = draw(st.lists(st.sampled_from(ds.table.ids), unique=True))
+        perturbations = {
+            cid: draw(FRACTIONS | st.dictionaries(STATES, FRACTIONS, max_size=4)) for cid in chosen
+        }
+        scope = draw(st.sampled_from(["peak", "off_peak", "day"]) | STATES)
+        event = Scenario("generated", perturbations, scope)
+    states = draw(
+        st.none() | st.lists(STATES, unique=True, max_size=6) | st.lists(st.integers(1, 25), max_size=3)
+    )
+    return ds, event, states
+
+
+def priced(price, ds, event, states):
+    """The demand and price rows and window prices of a pricing, or its error."""
+    try:
+        demand, prices, off_peak = price(ds, event, states)
+    except (KeyError, ValueError) as exc:
+        return ("error", type(exc), str(exc))
+    return ("ok", demand.shape, demand.tobytes(), prices.tobytes(), list(off_peak.items()))
+
+
+class TestPriceGridParity:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(pricing_case())
+    @example((TWO_PLANTS, Scenario("cut", {"I1": {20: -1.0}, "I2": {20: -1.0}}), [22, 20]))
+    @example((TWO_PLANTS, Scenario("cut", {"I1": {20: -1.0}, "I2": {20: -1.0}}), [22, 21]))
+    @example((TWO_PLANTS, Scenario("cut", {"I1": -1.0, "I2": -1.0}, "day"), None))
+    def test_same_rows_or_same_error(self, case):
+        assert priced(price_grid, *case) == priced(loop_price_grid, *case)
 
 
 # --- the scenario delta rows -----------------------------------------------------

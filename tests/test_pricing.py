@@ -18,6 +18,7 @@ from dlps import (
     CustomerTable,
     DegenerateGroupError,
     DegenerateWindowError,
+    Scenario,
     bill_under_signal,
     build_schedule,
     compare_signals,
@@ -39,10 +40,16 @@ from dlps import (
 )
 from dlps.ingest import _customer_table
 
-from helpers import build_dataset, build_profile, feeder_csv, loop_peak_prices
+from helpers import build_dataset, build_profile, feeder_csv, loop_peak_prices, loop_price_grid
 
 MCP_REF = 4.845626  # benchmark market price at the reference state
 REL = 1e-9
+
+
+def cut(states, ids=("I1", "I2"), fraction=-1.0):
+    """Per-state perturbations that take the customers ``ids`` to zero, or by
+    another ``fraction``, at ``states``."""
+    return {cid: {t: fraction for t in states} for cid in ids}
 
 
 class TestFixedPrice:
@@ -348,6 +355,58 @@ class TestPriceGrid:
             price_grid(bench_ds, states=[22, 25])
         with pytest.raises(ValueError, match="must not repeat"):
             price_grid(bench_ds, states=[22, 3, 22])
+
+    # each category's requested peak rows are priced as one block; the first
+    # (category, state) that the per-group loop refuses is refused, with its
+    # error. Peak states are 18..23, and residential is priced before
+    # industrial.
+    @pytest.mark.parametrize("mcps, perturbations, profit, states, error, text", [
+        ({}, cut([20]), 0.01, None,
+         DegenerateGroupError, "category industrial at state 20: every demand in the group is zero"),
+        ({}, cut([22, 19]), 0.01, None, DegenerateGroupError, "category industrial at state 19: "),
+        ({}, cut([22, 19]), 0.01, [22, 3, 19],
+         DegenerateGroupError, "category industrial at state 19: "),
+        ({}, cut([21], ("I1", "I2", "R1", "R2")), 0.01, None,
+         DegenerateGroupError, "category residential at state 21: "),
+        ({}, cut([20]), 0.01, [22, 21], None, None),
+        ({20: 0.0}, None, 0.01, None, ValueError, "mcp must be > 0, got 0.0"),
+        ({20: -2.0}, None, 0.01, [22, 20], ValueError, "mcp must be > 0, got -2.0"),
+        ({20: math.nan}, None, 0.01, None, ValueError, "mcp must be finite, got nan"),
+        ({20: math.inf}, None, 0.01, None, ValueError, "mcp must be finite, got inf"),
+        ({21: 0.0}, cut([20], ("R1", "R2")), 0.01, None,
+         DegenerateGroupError, "category residential at state 20: "),
+        ({19: 0.0}, cut([21]), 0.01, None, ValueError, "mcp must be > 0, got 0.0"),
+        ({}, cut([20], ("I2",), -1.5), 0.01, None, ValueError, "demands must be >= 0"),
+        ({}, None, 1.0, None, ValueError, "profit factor must be in [0, 1), got 1.0"),
+        ({20: 0.0}, None, -0.5, None, ValueError, "mcp must be > 0, got 0.0"),
+    ], ids=[
+        "zero-at-one-state", "zero-at-two-states", "zero-at-two-requested-states",
+        "zero-in-two-categories", "zero-at-a-state-not-requested", "mcp-zero", "mcp-negative",
+        "mcp-nan", "mcp-inf", "zero-group-before-bad-mcp", "bad-mcp-before-zero-group",
+        "negative-demand", "profit-factor", "mcp-before-profit-factor",
+    ])
+    def test_errors_are_those_of_the_per_group_loop(
+        self, mcps, perturbations, profit, states, error, text
+    ):
+        ds = build_dataset(
+            industrial=[30.0, 50.0], residential=[6.0, 9.0],
+            profile=build_profile(mcps=[mcps.get(t, 3.0) for t in range(1, 25)]),
+            profit={Category.INDUSTRIAL: profit},
+        )
+        event = None if perturbations is None else Scenario("cut", perturbations)
+
+        def outcome(price):
+            try:
+                demand, prices, off_peak = price(ds, event, states)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return demand.tobytes(), prices.tobytes(), off_peak
+
+        got = outcome(price_grid)
+        assert got == outcome(loop_price_grid)
+        if error is not None:
+            assert got[0] is error
+            assert got[1].startswith(text)
 
     def test_degenerate_window_reported_with_context(self):
         profile = build_profile(load_factors=[0.0] * 17 + [1.0] * 7, peak=range(18, 25))
