@@ -293,25 +293,25 @@ def cmd_compare(args) -> int:
         ("delta_vs_rtp_pct", "pct", list(deltas.values())),
     ))
 
-    windows = (
-        ("day", None),
-        ("peak", set(ds.profile.peak_indices)),
-        ("off_peak", {s.index for s in ds.profile.off_peak_states}),
-    )
-    groups = [
-        (billing, cat, window, indices)
-        for billing in comparison.billings
-        for cat in (*ds.table.columns, None)
-        for window, indices in windows
-    ]
-    totals = [
-        b.total(categories=None if cat is None else [cat], states=indices)
-        for b, cat, _, indices in groups
-    ]
+    # each signal's bills are read once, into the list that total() sums for
+    # each category (and "all") and window, in bill order: category by
+    # category, then state by state, so every sum adds the same terms in turn
+    window_of = {s.index: "peak" if s.is_peak else "off_peak" for s in ds.profile.states}
+    groups, totals = [], []
+    for billing in comparison.billings:
+        parts = {(cat, window): [] for cat in (*ds.table.columns, None)
+                 for window in ("day", "peak", "off_peak")}
+        for (cat, t), v in billing.by_category_state.items():
+            for key in (cat, None):
+                parts[key, "day"].append(v)
+                parts[key, window_of[t]].append(v)
+        for (cat, window), bills in parts.items():
+            groups.append((billing.kind, cat, window))
+            totals.append(sum(bills))
     aggregates_table = Table("aggregates", (
-        ("signal", "str", [b.kind.value for b, _, _, _ in groups]),
-        ("category", "str", [cat.value if cat else "all" for _, cat, _, _ in groups]),
-        ("window", "str", [window for _, _, window, _ in groups]),
+        ("signal", "str", [kind.value for kind, _, _ in groups]),
+        ("category", "str", [cat.value if cat else "all" for _, cat, _ in groups]),
+        ("window", "str", [window for _, _, window in groups]),
         ("billing_rs", "rs", totals),
     ))
     _emit([comparison_table, aggregates_table], args.out, mirrors=("comparison",))

@@ -13,15 +13,19 @@ day, as a utility would publish them before the event. Every event-free
 demand is ``lf * base``, so weighting by ``lf`` is weighting by demand:
 the flat and TOU prices read the profile alone.
 
-Bills come from the demand grid ``D = lf * base * M`` (state x customer,
-``M`` the compiled event), summed once per comparison into ``T``, each
-category's total demand at each state. A flat, RTP or TOU cell is
-``p_s * T[s, c]``, marked up by the category's profit factor when asked so
-the retailer take matches across columns. A proposed off-peak cell is the
-window price times ``T[s, c]``; a category's proposed peak cells are the row
-sums of its one (peak x customer) block of ``p * d``, so their balance stays
-a check. The schedule must be priced for the customers, profile states and
-category configurations billed.
+Bills come from the demand at the peak states, ``D = lf * base * M``
+(peak state x customer, ``M`` the event's factors on the rows of its
+scope), and from ``T``, each category's total demand at each state, summed
+once per comparison: its peak rows are the category row sums of ``D``, and
+each off-peak row the sum of ``lf_s * base`` over the category's customers,
+times ``M`` on the rows of the scope. No (state x customer) array larger
+than the peak block is built. A flat, RTP or TOU cell is ``p_s * T[s, c]``,
+marked up by the category's profit factor when asked so the retailer take
+matches across columns. A proposed off-peak cell is the window price times
+``T[s, c]``; a category's proposed peak cells are the row sums of its one
+(peak x customer) block of ``p * d``, so their balance stays a check. The
+schedule must be priced for the customers, profile states and category
+configurations billed.
 
 Each sum is numpy's pairwise sum of one contiguous row of non-negative
 terms, so a bill of a category of n customers is within
@@ -29,9 +33,10 @@ terms, so a bill of a category of n customers is within
 demands and prices, relative, with ``u = 2**-53`` and
 ``k = ceil(log2 n) + 19``: ``ceil(log2 n)`` pairwise levels, at most 17
 more additions in numpy's leaves of up to 128 terms, and two products.
-``standard_comparison`` takes ``D`` and the proposed prices from one
-``pricing.price_grid`` call, ``compare_signals`` takes ``D`` from
-``domain.demand_grid``, and both bill through ``_compare``.
+The event is compiled once per comparison. ``standard_comparison`` takes
+``D`` and the proposed prices from one pricing of the peak rows, as
+``pricing.build_schedule`` does, ``compare_signals`` takes ``D`` from the
+same demand builder, and both bill through ``_compare``.
 """
 
 from __future__ import annotations
@@ -42,9 +47,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .domain import Category, Dataset, DayProfile, demand_grid
-from .pricing import PriceSchedule, build_schedule, off_peak_price, price_grid
-from .scenario import Scenario, event_multipliers
+from .domain import Category, Dataset, DayProfile
+from .pricing import PriceSchedule, build_schedule, off_peak_price
+from .pricing import _demand_rows, _event_rows, _load_factors, _peak_rows, _price_rows, _window_sums
+from .scenario import Scenario
 
 __all__ = [
     "SignalKind",
@@ -182,9 +188,9 @@ def bill_under_signal(
 def _bill(ds: Dataset, signal: TariffSignal, demand: np.ndarray, totals: np.ndarray,
           profit: np.ndarray, with_profit: bool) -> SignalBilling:
     """Billing of each category of ``ds.table.columns`` at each state, from the
-    demand grid, its (state x category) ``totals`` and the ``profit`` factors.
-    Raises KeyError for a state the signal does not price and ValueError for
-    a schedule priced for another dataset."""
+    (peak state x customer) demand, the (state x category) ``totals`` and the
+    ``profit`` factors. Raises KeyError for a state the signal does not price
+    and ValueError for a schedule priced for another dataset."""
     states = ds.profile.states
     columns = ds.table.columns
     if signal.kind is SignalKind.PROPOSED:
@@ -196,10 +202,9 @@ def _bill(ds: Dataset, signal: TariffSignal, demand: np.ndarray, totals: np.ndar
                 raise ValueError(
                     f"proposed signal's schedule was built for another dataset: other {part}")
         cells = totals * np.array([schedule.off_peak[c] for c in columns])
-        peak = [r for r, state in enumerate(states) if state.is_peak]
+        peak = _peak_rows(ds.profile)
         for k, cols in enumerate(columns.values()):
-            at = np.add.outer(np.array(peak, dtype=np.intp) * demand.shape[1], cols)
-            cells[peak, k] = (schedule.prices.take(at) * demand.take(at)).sum(axis=1)
+            cells[peak, k] = (np.take(schedule.prices, cols, 1) * np.take(demand, cols, 1)).sum(axis=1)
     else:
         try:
             prices = np.array([signal.values[s.index] for s in states], dtype=float)
@@ -214,8 +219,9 @@ def _bill(ds: Dataset, signal: TariffSignal, demand: np.ndarray, totals: np.ndar
 
 
 def _compare(ds: Dataset, signals: Iterable[TariffSignal], demand: np.ndarray,
-             with_profit: bool) -> BillingComparison:
-    """Bill the demand grid under each signal, from one sum of it into
+             event: dict[int, np.ndarray] | None, with_profit: bool) -> BillingComparison:
+    """Bill the day under each signal, from its (peak state x customer)
+    ``demand`` under the compiled ``event`` and one sum of the day into
     (state x category) totals. Raises KeyError for a category with no
     configuration."""
     signals = tuple(signals)
@@ -227,10 +233,15 @@ def _compare(ds: Dataset, signals: Iterable[TariffSignal], demand: np.ndarray,
             raise ValueError(f"duplicate signal kind {kind.value}")
     columns = ds.table.columns
     profit = np.array([ds.profit_factor(c) for c in columns], dtype=float)
-    totals = np.empty((len(demand), len(columns)))
+    profile = ds.profile
+    lf = _load_factors(profile)
+    peak = _peak_rows(profile)
+    off = [r for r, s in enumerate(profile.states) if not s.is_peak]
+    totals = np.empty((len(lf), len(columns)))
     for k, cols in enumerate(columns.values()):
         # a C-ordered copy sums each row pairwise; demand[:, cols] would not
-        totals[:, k] = np.take(demand, cols, axis=1).sum(axis=1)
+        totals[peak, k] = np.take(demand, cols, axis=1).sum(axis=1)
+        totals[off, k] = _window_sums(ds.table.base[cols], cols, off, lf, event)
     return BillingComparison(tuple(_bill(ds, s, demand, totals, profit, with_profit)
                                    for s in signals))
 
@@ -259,9 +270,10 @@ def compare_signals(
     dr_event: Scenario | None = None,
 ) -> BillingComparison:
     """Bill the same day under each signal; one column per signal kind. The
-    event is compiled, and the demand grid built, once for every signal."""
-    multipliers = None if dr_event is None else event_multipliers(dr_event, ds)
-    return _compare(ds, signals, demand_grid(ds, multipliers), with_profit)
+    event is compiled, and the demand at the peak states built, once for
+    every signal."""
+    event = _event_rows(ds, dr_event)
+    return _compare(ds, signals, _demand_rows(ds, _peak_rows(ds.profile), event), event, with_profit)
 
 
 def compare_to_reference(
@@ -307,13 +319,15 @@ def standard_comparison(
 
     Reference signals derive from the base day, the way a utility would
     publish them ahead of any event; the demand-linked schedule is built
-    from the demands actually in effect, since it responds to them. ``D``
-    and the proposed prices come from one ``price_grid(ds, dr_event)`` call,
-    so the result equals ``compare_signals`` over the four signals built one
-    by one, bit for bit, with no other demand grid built.
+    from the demands actually in effect, since it responds to them. The
+    event is compiled once, and ``D`` and the proposed prices come from one
+    pricing of the peak rows, as in ``build_schedule(ds, dr_event)``, so the
+    result equals ``compare_signals`` over the four signals built one by
+    one, bit for bit, with no other demand built.
     """
-    demand, prices, off_peak = price_grid(ds, dr_event)
+    event = _event_rows(ds, dr_event)
+    demand, prices, off_peak = _price_rows(ds, _peak_rows(ds.profile), event)
     schedule = PriceSchedule(ds.table, ds.profile, ds.categories, prices, off_peak)
     signals = (derive_flat(ds), rtp_signal(ds.profile), derive_tou(ds, tou_peak_multiplier),
                proposed_signal(schedule))
-    return _compare(ds, signals, demand, with_profit)
+    return _compare(ds, signals, demand, event, with_profit)

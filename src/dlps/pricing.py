@@ -19,8 +19,10 @@ as a whole rather than state by state.
 ``price_grid`` prices the (state x customer) rows asked for, ``lf * base``
 times a demand-response event's factors in its scope: each category's peak
 rows as one block, row by row as ``on_peak_prices`` would, and its off-peak
-window in one ``off_peak_price`` call, so prices are bitwise those of
-pricing each group alone. ``build_schedule`` keeps them as a ``PriceSchedule``.
+window, summed one 1-D row at a time, in one ``off_peak_price`` call, so
+prices are bitwise those of pricing each group alone. Off the peak a
+price is one per category, so ``build_schedule`` prices the peak rows only
+and keeps that (peak state x customer) block as a ``PriceSchedule``.
 
 Every sum is taken on its values times ``2**-e``, ``e`` the binary exponent
 of the largest value (for rows not built yet, of a bound on it), so no sum
@@ -182,12 +184,14 @@ def off_peak_price(demands, mcps, profit_factor: float) -> float:
 class PriceSchedule:
     """Complete day-ahead price schedule for a dataset's table and profile.
 
-    ``prices`` is ``price_grid``'s read-only (state x customer) matrix over
-    ``profile`` and ``table``, priced under the ``categories``'
-    configurations; ``off_peak`` maps each category to its window price, and
-    ``provenance`` records the inputs. ``on_peak``, a dict from
-    (customer id, state index) to the price at that peak state, is built
-    from the peak rows on first read. Treat instances as immutable.
+    ``prices`` is the read-only (peak state x customer) block of
+    ``price_grid``'s rows over ``profile`` and ``table``: row k holds the
+    prices at the k-th peak state of the profile, priced under the
+    ``categories``' configurations. Off-peak prices are one per category,
+    so ``off_peak`` maps each category to its window price; ``provenance``
+    records the inputs. ``on_peak``, a dict from (customer id, state index)
+    to the price at that peak state, is built from the block on first read.
+    Treat instances as immutable.
     """
 
     table: CustomerTable
@@ -203,12 +207,12 @@ class PriceSchedule:
     @cached_property
     def on_peak(self) -> dict[tuple[str, int], float]:
         """Peak prices by category, then state, then column."""
-        peak = [(r, s.index) for r, s in enumerate(self.profile.states) if s.is_peak]
+        peak = self.profile.peak_indices
         out: dict[tuple[str, int], float] = {}
         for cols in self.table.columns.values():
             ids = [self.table.ids[j] for j in cols.tolist()]
-            for r, index in peak:
-                out.update(zip([(cid, index) for cid in ids], self.prices[r, cols].tolist()))
+            for k, index in enumerate(peak):
+                out.update(zip([(cid, index) for cid in ids], self.prices[k, cols].tolist()))
         return out
 
     def price(self, customer: Customer, state: SystemState) -> float:
@@ -260,45 +264,83 @@ def price_grid(
     scope are compiled and multiplied. A peak row holds ``on_peak_prices`` of
     each category's columns, priced as one block per category; a peak state
     not asked for is not priced. An off-peak row holds the category's window
-    price; each window is summed from its rows built again from the scaled
-    base demands. Raises KeyError for an index that is not a state of the
-    profile or a category with no configuration, ValueError for a repeated
-    index, and otherwise the error of the first group, in category then
-    profile order, that cannot be priced, naming its category and state.
+    price; each window is summed row by row from the scaled base demands.
+    Raises KeyError for an index that is not a state of the profile or a
+    category with no configuration, ValueError for a repeated index, and
+    otherwise the error of the first group, in category then profile order,
+    that cannot be priced, naming its category and state. The states are
+    checked and the event compiled here; ``_price_rows`` prices the rows.
     """
-    profile = ds.profile
     if states is None:
-        rows: Sequence[int] = range(len(profile.states))
+        rows: Sequence[int] = range(len(ds.profile.states))
     else:
-        rows = [profile.row(index) for index in states]
+        rows = [ds.profile.row(index) for index in states]
         if len(set(rows)) < len(rows):
             raise ValueError(f"states must not repeat, got {list(states)}")
-    lf = np.array([s.load_factor for s in profile.states], dtype=float)
+    return _price_rows(ds, rows, _event_rows(ds, dr_event))
+
+
+def _event_rows(ds: Dataset, dr_event: Scenario | None) -> dict[int, np.ndarray] | None:
+    """The event's demand factors at each profile row of its scope, compiled
+    once; None for no event."""
+    if dr_event is None:
+        return None
+    from .scenario import _compile_event  # deferred: scenario imports pricing
+
+    return dict(zip(*_compile_event(dr_event, ds)))
+
+
+def _load_factors(profile: DayProfile) -> np.ndarray:
+    return np.array([s.load_factor for s in profile.states], dtype=float)
+
+
+def _peak_rows(profile: DayProfile) -> list[int]:
+    return [r for r, s in enumerate(profile.states) if s.is_peak]
+
+
+def _demand_rows(ds: Dataset, rows: Sequence[int], event: dict[int, np.ndarray] | None) -> np.ndarray:
+    """Demand of every customer at the given profile rows, (row x customer):
+    ``lf * base``, times the event's factors on the rows of its scope."""
+    demand = _load_factors(ds.profile)[rows, None] * ds.table.base
+    for k, r in enumerate(rows):
+        if event and r in event:
+            demand[k] *= event[r]
+    return demand
+
+
+def _window_sums(values: np.ndarray, cols: np.ndarray, rows: Sequence[int], lf: np.ndarray,
+                 event: dict[int, np.ndarray] | None) -> np.ndarray:
+    """The sum of ``lf[r] * values`` at each profile row r of ``rows``, times
+    the event's factors at ``cols`` on the rows of its scope: ``values`` is a
+    category's (maybe scaled) base demands, at columns ``cols``. Each sum is
+    one 1-D pairwise sum."""
+    sums = np.empty(len(rows))
+    for i, r in enumerate(rows):
+        d = lf[r] * values
+        if event and r in event:
+            d *= event[r][cols]
+        sums[i] = d.sum()
+    return sums
+
+
+def _price_rows(ds: Dataset, rows: Sequence[int], event: dict[int, np.ndarray] | None
+                ) -> tuple[np.ndarray, np.ndarray, dict[Category, float]]:
+    """``price_grid``'s ``(demand, prices, off_peak)`` at the given profile
+    rows, under the compiled event."""
+    profile = ds.profile
+    demand = _demand_rows(ds, rows, event)
+    lf = _load_factors(profile)
     # a category's demands are below 2**(the exponent of its largest base
     # demand + grow); its window is summed at that scale, so no total overflows
     grow = math.frexp(lf.max())[1]
-    event: dict[int, np.ndarray] = {}  # the event's factors at each row of its scope
-    if dr_event is not None:
-        from .scenario import _compile_event  # deferred: scenario imports pricing
-
-        scope, factors = _compile_event(dr_event, ds)
-        event = dict(zip(scope, factors))
+    if event is not None:
         # every factor outside the scope is 1
-        grow += math.frexp(factors.max(initial=0.0 if len(scope) == len(lf) else 1.0))[1]
+        top = np.max([f.max(initial=0.0) for f in event.values()],
+                     initial=0.0 if len(event) == len(lf) else 1.0)
+        grow += math.frexp(top)[1]
     base = ds.table.base
     off = [r for r, s in enumerate(profile.states) if not s.is_peak]
-    totals = {}  # each category's off-peak rows, built again from its scaled base demands, summed
-    for category, cols in ds.table.columns.items():
-        scaled = np.ldexp(base[cols], -(math.frexp(base[cols].max())[1] + grow))
-        window = np.multiply.outer(lf[off], scaled)
-        for i, r in enumerate(off):
-            if r in event:
-                window[i] *= event[r][cols]
-        totals[category] = window.sum(axis=1)
-    demand = lf[rows, None] * base
     out = {r: k for k, r in enumerate(rows)}
-    for r in event.keys() & out.keys():
-        demand[out[r]] *= event[r]
     prices = np.empty_like(demand)
     # in profile order, so that the first group that cannot be priced is named
     peak = [(out[r], s) for r, s in enumerate(profile.states) if s.is_peak and r in out]
@@ -310,8 +352,9 @@ def price_grid(
         if peak:
             block = np.ix_([k for k, _ in peak], cols)
             prices[block] = _peak_prices(demand[block], kp, [s for _, s in peak], category)
+        scaled = np.ldexp(base[cols], -(math.frexp(base[cols].max())[1] + grow))
         try:
-            off_peak[category] = off_peak_price(totals[category], off_mcps, kp)
+            off_peak[category] = off_peak_price(_window_sums(scaled, cols, off, lf, event), off_mcps, kp)
         except DegenerateWindowError as exc:
             raise DegenerateWindowError(f"category {category.value} off-peak window: {exc}") from None
     window = np.array([off_peak.get(category, 0.0) for category in _BY_CODE])
@@ -345,11 +388,13 @@ def _peak_prices(block: np.ndarray, profit_factor: float, states: list[SystemSta
 def build_schedule(ds: Dataset, dr_event: Scenario | None = None) -> PriceSchedule:
     """Price every customer at every state of the day.
 
-    The schedule holds ``price_grid(ds, dr_event)``'s price matrix and
-    window prices. Raises DegenerateGroupError or DegenerateWindowError with
-    the offending category and state named when a group cannot be priced.
+    The schedule holds ``price_grid(ds, dr_event, ds.profile.peak_indices)``'s
+    (peak state x customer) price rows and its window prices; the demand of
+    no off-peak state is built. Raises DegenerateGroupError or
+    DegenerateWindowError with the offending category and state named when
+    a group cannot be priced.
     """
-    _, prices, off_peak = price_grid(ds, dr_event)
+    _, prices, off_peak = _price_rows(ds, _peak_rows(ds.profile), _event_rows(ds, dr_event))
     factors = ", ".join(
         f"{cfg.category.value}={cfg.profit_factor}" for cfg in ds.categories
     )

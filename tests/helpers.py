@@ -2,8 +2,8 @@
 per-cell, per-group, per-customer and per-row oracles that the array-based
 pricing, billing, scenario application, table writers, customer parsing and
 validation are checked against, with the earlier hand-tuned forms of the
-event compile, the scenario delta rows and the id-prefix check; and a
-loader for the benchmark's own modules."""
+event compile, the whole-grid billing, the scenario delta rows and the
+id-prefix check; and a loader for the benchmark's own modules."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from dlps import (
+    BillingComparison,
     Category,
     CategoryConfig,
     Customer,
@@ -31,10 +32,12 @@ from dlps import (
     DegenerateGroupError,
     DegenerateWindowError,
     ParseError,
+    SignalBilling,
     SignalKind,
     SystemState,
     Violation,
     category_demands,
+    demand_grid,
     event_multipliers,
     financial_summary,
     off_peak_price,
@@ -155,6 +158,40 @@ def loop_billing(ds: Dataset, signal, with_profit=True, dr_event=None) -> dict:
                 cell += price * demand
             out[(category, state.index)] = markup * cell
     return out
+
+
+def grid_compare(ds: Dataset, signals, with_profit=True, dr_event=None) -> BillingComparison:
+    """``compare_signals`` from whole (state x customer) grids: the demand
+    grid ``lf * base * event_multipliers``, summed into (state x category)
+    totals from a C-ordered copy of each category's columns; the proposed
+    schedule's peak rows placed in a grid, and each category's peak cells
+    summed from one block of ``p * d`` gathered by flat indices."""
+    multipliers = None if dr_event is None else event_multipliers(dr_event, ds)
+    demand = demand_grid(ds, multipliers)
+    states = ds.profile.states
+    columns = ds.table.columns
+    profit = np.array([ds.profit_factor(c) for c in columns], dtype=float)
+    totals = np.empty((len(demand), len(columns)))
+    for k, cols in enumerate(columns.values()):
+        totals[:, k] = np.take(demand, cols, axis=1).sum(axis=1)
+    peak = [r for r, state in enumerate(states) if state.is_peak]
+    billings = []
+    for signal in signals:
+        if signal.kind is SignalKind.PROPOSED:
+            prices = np.zeros_like(demand)
+            prices[peak] = signal.schedule.prices
+            cells = totals * np.array([signal.schedule.off_peak[c] for c in columns])
+            for k, cols in enumerate(columns.values()):
+                at = np.add.outer(np.array(peak, dtype=np.intp) * demand.shape[1], cols)
+                cells[peak, k] = (prices.take(at) * demand.take(at)).sum(axis=1)
+        else:
+            prices = np.array([signal.values[s.index] for s in states], dtype=float)
+            cells = (1.0 + profit if with_profit else 1.0) * (prices[:, None] * totals)
+        out = {}
+        for k, category in enumerate(columns):
+            out.update(zip([(category, s.index) for s in states], cells[:, k].tolist()))
+        billings.append(SignalBilling(signal.kind, with_profit, out))
+    return BillingComparison(tuple(billings))
 
 
 def loop_peak_prices(ds: Dataset, dr_event=None) -> dict:

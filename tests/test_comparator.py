@@ -9,6 +9,7 @@ each TOU block obvious.
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,7 +509,7 @@ class TestSingleCompile:
         )
         calls = self.count_calls(monkeypatch)
         compare_signals(bench_ds, signals, dr_event=event)
-        assert calls == {"select_states": 1, "demand_grid": 1, "_compile_event": 1}
+        assert calls == {"select_states": 1, "demand_grid": 0, "_compile_event": 1}
 
 
 class TestBillAccuracy:
@@ -523,6 +524,7 @@ class TestBillAccuracy:
         signals = (derive_flat(ds), rtp_signal(ds.profile), derive_tou(ds, 1.5))
         values = {s.kind: s.values for s in signals}
         u = 2.0**-53
+        peak = {s.index: k for k, s in enumerate(ds.profile.peak_states)}  # row of the price block
         for billing in comparison.billings:
             for category, cols in ds.table.columns.items():
                 markup = 1.0 + ds.profit_factor(category)
@@ -534,9 +536,27 @@ class TestBillAccuracy:
                     if billing.kind in values:
                         want = markup * values[billing.kind][state.index] * math.fsum(d.tolist())
                     elif state.is_peak:
-                        want = math.fsum((schedule.prices[r, cols] * d).tolist())
+                        want = math.fsum((schedule.prices[peak[state.index], cols] * d).tolist())
                     else:
                         want = schedule.off_peak[category] * math.fsum(d.tolist())
                     got = billing.by_category_state[(category, state.index)]
                     bound = k * u / (1 - k * u) * want
                     assert abs(got - want) <= bound, (billing.kind, category, state.index)
+
+
+class TestPeakBlockMemory:
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already tracing")
+    def test_comparison_holds_no_day_grid(self, bench_ds):
+        # only the six peak rows of demand and of prices are (state x
+        # customer) arrays; holding the whole demand and price grids, it
+        # peaked at 2.67 grids of 24 x N
+        ds = dataclasses.replace(bench_ds, table=_customer_table(feeder_csv(20_000, seed=1)))
+        event = random_dr_event(ds, 0.15, seed=1)
+        grid = 24 * len(ds.table) * 8
+        tracemalloc.start()
+        try:
+            standard_comparison(ds, 1.5, dr_event=event)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * grid, peak / grid

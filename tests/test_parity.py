@@ -1,7 +1,8 @@
 """Parity of the columnar customer parser, of ``validate_dataset``, of
 ``apply_scenario``, of the event compile, of ``price_grid``'s block pricing,
-of the scenario delta rows and of the id-prefix check with the row-by-row,
-customer-by-customer, group-by-group and earlier hand-tuned versions kept in
+of the peak-block schedule and billing, of the scenario delta rows and of
+the id-prefix check with the row-by-row, customer-by-customer,
+group-by-group, whole-grid and earlier hand-tuned versions kept in
 ``helpers``, on generated inputs.
 
 Hypothesis runs derandomized, so every run tries the same examples."""
@@ -9,6 +10,7 @@ Hypothesis runs derandomized, so every run tries the same examples."""
 import csv
 import dataclasses
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -25,13 +27,20 @@ from dlps import (
     ParseError,
     Scenario,
     apply_scenario,
+    build_schedule,
+    compare_signals,
+    derive_flat,
+    derive_tou,
     event_multipliers,
     parse_customers,
     preset_scenario,
     price_grid,
+    proposed_signal,
     random_dr_event,
+    rtp_signal,
     scenario_deltas,
     select_states,
+    standard_comparison,
     validate_dataset,
 )
 from dlps import ingest
@@ -44,6 +53,7 @@ from helpers import (
     build_dataset,
     build_profile,
     generator_scenario_deltas,
+    grid_compare,
     load_bench,
     loop_apply_scenario,
     loop_customer_violations,
@@ -529,6 +539,83 @@ class TestPriceGridParity:
     @example((TWO_PLANTS, Scenario("cut", {"I1": -1.0, "I2": -1.0}, "day"), None))
     def test_same_rows_or_same_error(self, case):
         assert priced(price_grid, *case) == priced(loop_price_grid, *case)
+
+
+# --- the peak-block schedule and bills -------------------------------------------
+
+@st.composite
+def comparison_case(draw):
+    """A small feeder, maybe of one category, its rows shuffled; no event, or
+    one over the peak, the off-peak window, the day, one peak state or one
+    off-peak state, as uniform fractions, per-state fractions or draws at
+    the scope's states; a TOU multiplier; and profit on or off. Up to 20
+    industrial customers, since numpy sums 8 or more terms pairwise, so a
+    sum taken customer by customer (a strided one) shows in the bits."""
+    one = draw(st.booleans())
+    ds = build_dataset(
+        industrial=draw(st.lists(st.floats(0.5, 900.0), min_size=1, max_size=20)),
+        commercial=[] if one else draw(st.lists(st.floats(15.0, 45.0), max_size=3)),
+        residential=[] if one else draw(st.lists(st.floats(0.5, 50.0), max_size=4)),
+        profile=build_profile(
+            mcps=[draw(st.sampled_from([0.5, 3.0, 7.25])) for _ in range(24)],
+            load_factors=draw(st.lists(st.floats(0.05, 3.0), min_size=24, max_size=24)),
+            peak=tuple(draw(st.sets(STATES, min_size=1, max_size=23))),
+        ),
+        profit={cat: draw(st.sampled_from([0.0, 0.01, 0.3])) for cat in Category},
+    )
+    ds = shuffled(ds, draw(st.permutations(range(len(ds.table)))))
+    peak = ds.profile.peak_indices
+    off = tuple(s.index for s in ds.profile.off_peak_states)
+    scope = draw(st.sampled_from(["peak", "off_peak", "day"]) | st.sampled_from(peak)
+                 | st.sampled_from(off))
+    at = {"peak": peak, "off_peak": off, "day": peak + off}.get(scope, (scope,))
+    fractions = st.floats(-0.9, 1.0)
+    form = draw(st.sampled_from(["none", "uniform", "per-state", "drawn"]))
+    event = None
+    if form == "drawn":
+        rng = np.random.default_rng(draw(st.integers(0, 99)))
+        draws = rng.uniform(-0.9, 1.0, size=(len(ds.table), len(at)))
+        event = Scenario("drawn", _EventDraws(ds.table.ids, at, draws), scope)
+    elif form != "none":
+        chosen = draw(st.lists(st.sampled_from(ds.table.ids), min_size=1, unique=True))
+        per_customer = fractions if form == "uniform" else st.dictionaries(
+            st.sampled_from(at), fractions, min_size=1)
+        event = Scenario(form, {cid: draw(per_customer) for cid in chosen}, scope)
+    return ds, event, draw(st.sampled_from([1.0, 1.5, 20.0])), draw(st.booleans())
+
+
+def billed(comparison):
+    """Each column's kind, markup flag and bills, every bill as its bits."""
+    return [
+        (b.kind, b.with_profit, [(key, v.hex()) for key, v in b.by_category_state.items()])
+        for b in comparison.billings
+    ]
+
+
+class TestComparisonParity:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(comparison_case())
+    def test_peak_block_bills_are_the_whole_grid_bills_bitwise(self, case):
+        ds, event, tou, with_profit = case
+        schedule = build_schedule(ds, event)
+        _, grid, off_peak = loop_price_grid(ds, event)
+        peak = [r for r, s in enumerate(ds.profile.states) if s.is_peak]
+        assert schedule.prices.tobytes() == grid[peak].tobytes()
+        assert schedule.on_peak == {
+            (cid, ds.profile.states[r].index): price
+            for r in peak for cid, price in zip(ds.table.ids, grid[r].tolist())
+        }
+        assert list(schedule.off_peak.items()) == list(off_peak.items())
+        try:
+            signals = (derive_flat(ds), rtp_signal(ds.profile), derive_tou(ds, tou),
+                       proposed_signal(schedule))
+        except ValueError as exc:  # the TOU peak block fell below the off-peak one
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                standard_comparison(ds, tou, with_profit, event)
+            return
+        want = billed(grid_compare(ds, signals, with_profit, event))
+        assert billed(standard_comparison(ds, tou, with_profit, event)) == want
+        assert billed(compare_signals(ds, signals, with_profit, event)) == want
 
 
 # --- the scenario delta rows -----------------------------------------------------

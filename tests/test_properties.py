@@ -15,6 +15,9 @@ Rows priced on request are bitwise the rows of the whole grid. Permuting
 the customers permutes the price grid and leaves the billing unchanged;
 within a group at a peak state the price never falls as demand rises, and
 a customer above the contraharmonic mean pays more than the flat price.
+No cross-subsidy: an event confined to one category leaves every price and
+bill of the others bitwise as they were. A schedule billed against a
+dataset that differs from its own in one field is refused, naming the part.
 Sums taken in another order than the pricing code's may differ in the last
 digits, so the checks hold to a relative 1e-12 (``pytest.approx``, which
 keeps an absolute floor of 1e-12 for a margin at or near 0).
@@ -30,6 +33,7 @@ from dlps import (
     Category,
     CustomerTable,
     Scenario,
+    bill_under_signal,
     build_schedule,
     bundled_benchmark,
     demand_grid,
@@ -40,6 +44,7 @@ from dlps import (
     off_peak_price,
     on_peak_prices,
     price_grid,
+    proposed_signal,
     random_dr_event,
     standard_comparison,
     verify_ebe,
@@ -356,3 +361,111 @@ class TestPeakPriceOrder:
                 assert np.all(np.diff(p[by_demand]) >= 0)  # a larger demand never pays less
                 heavy = d > (1 + 1e-9) * float(d @ d) / float(d.sum())
                 assert np.all(p[heavy] > fixed_price(state.mcp, ds.profit_factor(cat)))
+
+
+@st.composite
+def confined_events(draw, ds):
+    """A category of the dataset, and an explicit event over some of its
+    customers only: uniform or per-state fractions, at any scope. A factor
+    may pass 2, which moves the exponent at which windows are summed."""
+    category = draw(st.sampled_from(list(ds.table.columns)))
+    ids = draw(st.lists(st.sampled_from(ds.table.ids_in(category)), min_size=1, unique=True))
+    fractions = st.floats(-0.9, 2.5)
+    per_customer = fractions | st.dictionaries(STATES, fractions, min_size=1)
+    scope = draw(st.sampled_from(["peak", "off_peak", "day"]) | STATES)
+    return category, Scenario("confined", {cid: draw(per_customer) for cid in ids}, scope)
+
+
+def outside(ds, category, ev, with_profit):
+    """As bits: every price of the customers outside ``category`` from
+    ``price_grid`` and ``build_schedule``, the other categories' window
+    prices, and their bills under the four signals of
+    ``standard_comparison``."""
+    cols = np.sort(np.concatenate([c for cat, c in ds.table.columns.items() if cat is not category]))
+    _, prices, off_peak = price_grid(ds, ev)
+    schedule = build_schedule(ds, ev)
+    # market prices span at most 1e4 to one, so this TOU peak block never
+    # prices below the off-peak block
+    comparison = standard_comparison(ds, 1e4, with_profit, ev)
+    return (
+        prices[:, cols].tobytes(),
+        schedule.prices[:, cols].tobytes(),
+        [(cat, p.hex()) for cat, p in off_peak.items() if cat is not category],
+        [(cat, p.hex()) for cat, p in schedule.off_peak.items() if cat is not category],
+        [
+            [(key, v.hex()) for key, v in b.by_category_state.items() if key[0] is not category]
+            for b in comparison.billings
+        ],
+    )
+
+
+class TestNoCrossSubsidy:
+    @LOOP
+    @given(st.data())
+    def test_an_event_in_one_category_leaves_the_others_as_they_were(self, data):
+        ds = data.draw(odd_shuffled_datasets().filter(lambda ds: len(ds.table.columns) > 1))
+        category, event = data.draw(confined_events(ds))
+        with_profit = data.draw(st.booleans())
+        assert outside(ds, category, event, with_profit) == outside(ds, category, None, with_profit)
+
+
+def altered(ds, field, data):
+    """The dataset with one field changed: the customer order, one state's
+    market price, load factor or peak flag, or one category's profit
+    factor; and the part of the dataset that names it."""
+    if field == "customer order":
+        n = len(ds.table)
+        order = data.draw(st.permutations(range(n)).filter(lambda o: list(o) != list(range(n))))
+        return reordered(ds, order), "customers"
+    if field == "profit factor":
+        k = data.draw(st.integers(0, len(ds.categories) - 1))
+        cfg = ds.categories[k]
+        factor = data.draw(MARGINS.filter(lambda p: p != cfg.profit_factor))
+        categories = list(ds.categories)
+        categories[k] = dataclasses.replace(cfg, profit_factor=factor)
+        return dataclasses.replace(ds, categories=tuple(categories)), "category configurations"
+    states = list(ds.profile.states)
+    peaks = sum(t.is_peak for t in states)
+    # a peak flag is turned only where the state's window keeps another state
+    r = data.draw(st.sampled_from([
+        r for r, t in enumerate(states)
+        if field != "peak flag" or (peaks if t.is_peak else len(states) - peaks) > 1
+    ]))
+    s = states[r]
+    if field == "mcp":
+        states[r] = dataclasses.replace(s, mcp=data.draw(st.floats(0.01, 100.0).filter(lambda m: m != s.mcp)))
+    elif field == "load factor":
+        states[r] = dataclasses.replace(
+            s, load_factor=data.draw(st.floats(0.05, 3.0).filter(lambda f: f != s.load_factor)))
+    else:
+        states[r] = dataclasses.replace(s, is_peak=not s.is_peak)
+    profile = dataclasses.replace(ds.profile, states=tuple(states))
+    return dataclasses.replace(ds, profile=profile), "profile states"
+
+
+class TestScheduleRefusal:
+    @settings(LOOP, max_examples=50)  # four schedules and three bills per example: under 1 s
+    @given(st.data())
+    def test_a_schedule_bills_only_the_dataset_it_was_priced_for(self, data):
+        ds = data.draw(odd_shuffled_datasets().filter(lambda ds: len(ds.table) > 1))
+        ev = data.draw(any_events(ds))
+        field = data.draw(st.sampled_from(
+            ["customer order", "mcp", "load factor", "peak flag", "profit factor"]))
+        other, part = altered(ds, field, data)
+        for priced_for, billed in ((ds, other), (other, ds)):
+            schedule = build_schedule(priced_for, ev)
+            with pytest.raises(ValueError, match=f"built for another dataset: other {part}$"):
+                bill_under_signal(billed, proposed_signal(schedule), dr_event=ev)
+        schedule = build_schedule(ds, ev)
+        copy = dataclasses.replace(
+            ds,
+            table=CustomerTable(ds.table.ids, ds.table.codes.copy(), ds.table.base.copy()),
+            categories=tuple(dataclasses.replace(c) for c in ds.categories),
+            profile=dataclasses.replace(
+                ds.profile, states=tuple(dataclasses.replace(s) for s in ds.profile.states)),
+        )
+        want = bill_under_signal(ds, proposed_signal(schedule), dr_event=ev)
+        got = bill_under_signal(copy, proposed_signal(schedule), dr_event=ev)
+        assert [v.hex() for v in got.by_category_state.values()] == [
+            v.hex() for v in want.by_category_state.values()]
+        assert list(got.by_category_state) == list(want.by_category_state)
